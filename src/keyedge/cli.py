@@ -8,11 +8,12 @@ Subcommands:
     eval-arde    score detection records against ground truth (JSON report)
     sensitivity  Monte Carlo error grid over noise x depth band x gamma bin
 
+Each subcommand is one handler that argparse selects through
+set_defaults(run=...).  A handler validates its own flags, then checks that
+its inputs and output directories exist, and only then does any work.
+
 Angles are degrees on the command line and radians in files.  Every
-stochastic command requires --seed and is byte-reproducible given one;
---jobs is accepted as a parallelism hint, and because results are always
-reduced in object index order the emitted bytes never depend on it (the
-current implementation runs single-process).
+stochastic command requires --seed and is byte-reproducible given one.
 
 Exit codes: 0 success, 2 usage or configuration error, 3 parse error,
 4 I/O error, 5 numeric degeneracy.
@@ -25,13 +26,15 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 
 from .dataio import (
     RECORD_FIELDS,
+    SIGMA_KEYS,
+    NOISE_KINDS,
     ConfigError,
     NoiseModel,
     ParseError,
@@ -46,6 +49,7 @@ from .dataio import (
     read_jsonl,
     record_ratio_sigmas,
     record_tuples,
+    sigma_effective,
     write_csv,
     write_jsonl,
 )
@@ -58,7 +62,7 @@ from .geometry import (
     normalize_angle,
     project_keyedges,
 )
-from .indexing import DegenerateObservation, object_centric_tuples
+from .indexing import DegenerateObservation
 from .metrics import (
     DetectionRecord,
     GroundTruthRecord,
@@ -68,13 +72,25 @@ from .metrics import (
 )
 from .recovery import (
     AllDegenerate,
+    InvalidDims,
     NonPositiveResult,
     UnobservableDistortion,
-    solve_all,
 )
-from .uncertainty import NonPositiveSigma, depth_partials, fuse, propagate_sigma
+from .uncertainty import NonPositiveSigma, fuse_tuples
 
 THETA_FUSION_RULE = "weighted_circular_mean"
+
+PLAIN_FIELDS = tuple(f for f in RECORD_FIELDS if f not in SIGMA_KEYS)
+
+PER_TUPLE_FIELDS = ("theta", "d_obj", "sigma_d", "weight")
+
+# "z" appears only when the input record carries it.
+SOLVE_FIELDS = (
+    "index", "class_name", "z", "length", "width",
+    "d_fusion", "theta_fusion", "theta_fusion_rule",
+    *(f"{name}_{ref}" for ref in KEYEDGES for name in PER_TUPLE_FIELDS),
+    "skipped",
+)
 
 SENSITIVITY_FIELDS = (
     "noise_kind", "noise_param",
@@ -95,43 +111,34 @@ DEGENERACY_ERRORS = (
     NonPositiveSigma,
 )
 
+# Errors that count a sensitivity trial as failed; any other error ends the run.
+_TRIAL_ERRORS = (
+    UnobservableDistortion,
+    AllDegenerate,
+    NonPositiveResult,
+    NonPositiveSigma,
+    ZeroHeight,
+)
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One fully resolved command invocation."""
-
-    subcommand: str
-    inputs: dict
-    outputs: dict
-    intr: CameraIntrinsics | None = None
-    scene: SceneConfig | None = None
-    noise: NoiseModel | None = None
-    noise_kind: str = "none"
-    noise_params: tuple[float, ...] = ()
-    iou_min: float = 0.7
-    bin_edges: tuple[float, ...] | None = None
-    seed: int | None = None
-    trials: int = 0
-    depth_bands: tuple[tuple[float, float], ...] = ()
-    gamma_bins: tuple[tuple[float, float], ...] = ()
-    gamma_bins_deg: tuple[float, ...] = ()
-    class_name: str = "Car"
-    skip_hard: bool = False
-    jobs: int = 1
+# First match wins.
+_EXIT_CODES = {
+    ConfigError: 2,
+    NoGroundTruth: 2,
+    ParseError: 3,
+    OSError: 4,
+    **dict.fromkeys(DEGENERACY_ERRORS, 5),
+}
 
 
 # ---------------------------------------------------------------------------
-# Flag plumbing.
+# Flags.
 
 
-def _add_intrinsics_flags(p: argparse.ArgumentParser) -> None:
-    g = p.add_argument_group("camera")
-    g.add_argument("--focal", type=float, default=721.5377, help="focal length, pixels")
-    g.add_argument("--cx", type=float, default=609.5593, help="principal point x, pixels")
-    g.add_argument("--cy", type=float, default=172.854, help="principal point y, pixels")
-
-
-def _add_dims_flags(p: argparse.ArgumentParser) -> None:
+def _add_scene_flags(p: argparse.ArgumentParser) -> None:
+    """The flags that _scene and _intrinsics read."""
+    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--min-distortion", type=float, default=0.0,
+                   help="reject poses whose best tuple signal is below this")
     g = p.add_argument_group("object dimensions, meters")
     g.add_argument("--length-min", type=float, default=3.2)
     g.add_argument("--length-max", type=float, default=4.8)
@@ -140,13 +147,10 @@ def _add_dims_flags(p: argparse.ArgumentParser) -> None:
     g.add_argument("--height-min", type=float, default=1.3)
     g.add_argument("--height-max", type=float, default=1.8)
     g.add_argument("--ground-y", type=float, default=1.65, help="camera height of the ground plane")
-
-
-def _add_noise_flags(p: argparse.ArgumentParser) -> None:
-    g = p.add_argument_group("pixel noise")
-    g.add_argument("--noise", choices=("none", "gaussian_height", "pixel_quantization"), default="none")
-    g.add_argument("--sigma-px", type=float, default=0.0, help="gaussian_height sigma, pixels")
-    g.add_argument("--quantum-px", type=float, default=0.0, help="pixel_quantization step, pixels")
+    g = p.add_argument_group("camera")
+    g.add_argument("--focal", type=float, default=721.5377, help="focal length, pixels")
+    g.add_argument("--cx", type=float, default=609.5593, help="principal point x, pixels")
+    g.add_argument("--cy", type=float, default=172.854, help="principal point y, pixels")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -157,38 +161,38 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic scene of ratio records")
+    p.set_defaults(run=_cmd_synth)
     p.add_argument("--count", type=int, required=True, help="number of objects")
-    p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", type=Path, required=True, help="JSON-lines output path")
     p.add_argument("--csv-out", type=Path, help="optional CSV mirror")
     p.add_argument("--depth-min", type=float, default=5.0)
     p.add_argument("--depth-max", type=float, default=60.0)
     p.add_argument("--gamma-min-deg", type=float, default=-40.0)
     p.add_argument("--gamma-max-deg", type=float, default=40.0)
-    p.add_argument("--min-distortion", type=float, default=0.0,
-                   help="reject poses whose best tuple signal is below this")
     p.add_argument("--class-name", default="Car")
-    p.add_argument("--jobs", type=int, default=1)
-    _add_dims_flags(p)
-    _add_intrinsics_flags(p)
-    _add_noise_flags(p)
+    _add_scene_flags(p)
+    g = p.add_argument_group("pixel noise")
+    g.add_argument("--noise", choices=NOISE_KINDS, default="none")
+    g.add_argument("--sigma-px", type=float, default=0.0, help="gaussian_height sigma, pixels")
+    g.add_argument("--quantum-px", type=float, default=0.0, help="pixel_quantization step, pixels")
 
     p = sub.add_parser("labelgen", help="KITTI labels + calib to ground-truth records")
+    p.set_defaults(run=_cmd_labelgen)
     p.add_argument("--labels", type=Path, required=True, help="label file or directory")
     p.add_argument("--calib", type=Path, required=True, help="calib file or directory")
     p.add_argument("--out", type=Path, required=True)
     p.add_argument("--csv-out", type=Path)
     p.add_argument("--skip-hard", action="store_true",
                    help="drop labels with truncation > 0.5 or occlusion 2")
-    p.add_argument("--jobs", type=int, default=1)
 
     p = sub.add_parser("solve", help="invert ratio records into fused estimates")
+    p.set_defaults(run=_cmd_solve)
     p.add_argument("--in", dest="input_path", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True)
     p.add_argument("--csv-out", type=Path)
-    p.add_argument("--jobs", type=int, default=1)
 
     p = sub.add_parser("eval-arde", help="average relative depth error report")
+    p.set_defaults(run=_cmd_eval_arde)
     p.add_argument("--detections", type=Path, required=True)
     p.add_argument("--ground-truth", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True, help="JSON report path")
@@ -196,21 +200,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bin-edges-deg", help="comma-separated viewing-angle bin edges")
 
     p = sub.add_parser("sensitivity", help="Monte Carlo error grid (CSV)")
-    p.add_argument("--seed", type=int, required=True)
+    p.set_defaults(run=_cmd_sensitivity)
     p.add_argument("--trials", type=int, required=True, help="trials per grid cell")
     p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--noise", choices=("none", "gaussian_height", "pixel_quantization"),
-                   default="gaussian_height")
+    p.add_argument("--noise", choices=NOISE_KINDS, default="gaussian_height")
     p.add_argument("--noise-params", default="0.5",
                    help="comma-separated sigma or quantum values, one grid layer each")
     p.add_argument("--depth-bands", default="5,20,40,60",
                    help="comma-separated band edges, meters")
     p.add_argument("--gamma-bins-deg", default="-40,40",
                    help="comma-separated bin edges, degrees")
-    p.add_argument("--min-distortion", type=float, default=0.0)
-    p.add_argument("--jobs", type=int, default=1)
-    _add_dims_flags(p)
-    _add_intrinsics_flags(p)
+    _add_scene_flags(p)
 
     return parser
 
@@ -222,6 +222,8 @@ def _float_list(text: str, flag: str) -> list[float]:
         raise ConfigError(f"{flag} must be a comma-separated list of numbers, got {text!r}") from None
     if not values:
         raise ConfigError(f"{flag} is empty")
+    if not all(math.isfinite(v) for v in values):
+        raise ConfigError(f"{flag} values must be finite, got {text!r}")
     return values
 
 
@@ -240,172 +242,69 @@ def _intrinsics(args: argparse.Namespace) -> CameraIntrinsics:
         raise ConfigError(str(err)) from None
 
 
-def _to_config(args: argparse.Namespace) -> RunConfig:
-    cmd = args.subcommand
-    if cmd == "synth":
-        scene = SceneConfig(
-            count=args.count,
-            seed=args.seed,
-            depth_range=(args.depth_min, args.depth_max),
-            gamma_range=(math.radians(args.gamma_min_deg), math.radians(args.gamma_max_deg)),
-            length_range=(args.length_min, args.length_max),
-            width_range=(args.width_min, args.width_max),
-            height_range=(args.height_min, args.height_max),
-            ground_y=args.ground_y,
-            min_distortion=args.min_distortion,
-        )
-        noise = NoiseModel(kind=args.noise, sigma_px=args.sigma_px, quantum_px=args.quantum_px)
-        outputs = {"out": args.out}
-        if args.csv_out:
-            outputs["csv_out"] = args.csv_out
-        return RunConfig(
-            subcommand=cmd, inputs={}, outputs=outputs, intr=_intrinsics(args),
-            scene=scene, noise=noise, seed=args.seed, class_name=args.class_name,
-            jobs=args.jobs,
-        )
-    if cmd == "labelgen":
-        outputs = {"out": args.out}
-        if args.csv_out:
-            outputs["csv_out"] = args.csv_out
-        return RunConfig(
-            subcommand=cmd, inputs={"labels": args.labels, "calib": args.calib},
-            outputs=outputs, skip_hard=args.skip_hard, jobs=args.jobs,
-        )
-    if cmd == "solve":
-        outputs = {"out": args.out}
-        if args.csv_out:
-            outputs["csv_out"] = args.csv_out
-        return RunConfig(
-            subcommand=cmd, inputs={"in": args.input_path}, outputs=outputs, jobs=args.jobs,
-        )
-    if cmd == "eval-arde":
-        if not (0.0 < args.iou_min <= 1.0):
-            raise ConfigError(f"--iou-min must be in (0, 1], got {args.iou_min}")
-        bin_edges = None
-        if args.bin_edges_deg:
-            deg = _float_list(args.bin_edges_deg, "--bin-edges-deg")
-            _edge_pairs(deg, "--bin-edges-deg")
-            bin_edges = tuple(math.radians(v) for v in deg)
-        return RunConfig(
-            subcommand=cmd,
-            inputs={"detections": args.detections, "ground_truth": args.ground_truth},
-            outputs={"out": args.out}, iou_min=args.iou_min, bin_edges=bin_edges,
-        )
-    # sensitivity
-    if args.trials <= 0:
-        raise ConfigError(f"--trials must be positive, got {args.trials}")
-    params = (0.0,) if args.noise == "none" else tuple(_float_list(args.noise_params, "--noise-params"))
-    band_edges = _float_list(args.depth_bands, "--depth-bands")
-    bands = tuple(_edge_pairs(band_edges, "--depth-bands"))
-    gdeg = _float_list(args.gamma_bins_deg, "--gamma-bins-deg")
-    gbins = tuple(
-        (math.radians(lo), math.radians(hi)) for lo, hi in _edge_pairs(gdeg, "--gamma-bins-deg")
-    )
-    scene = SceneConfig(  # depth/gamma ranges are swapped in per cell
-        count=args.trials,
+def _scene(args: argparse.Namespace, count: int, **ranges) -> SceneConfig:
+    """SceneConfig from --seed, the dimension flags and --min-distortion."""
+    return SceneConfig(
+        count=count,
         seed=args.seed,
         length_range=(args.length_min, args.length_max),
         width_range=(args.width_min, args.width_max),
         height_range=(args.height_min, args.height_max),
         ground_y=args.ground_y,
         min_distortion=args.min_distortion,
-    )
-    return RunConfig(
-        subcommand=cmd, inputs={}, outputs={"out": args.out}, intr=_intrinsics(args),
-        scene=scene, noise_kind=args.noise, noise_params=params, seed=args.seed,
-        trials=args.trials, depth_bands=bands, gamma_bins=gbins,
-        gamma_bins_deg=tuple(gdeg), jobs=args.jobs,
+        **ranges,
     )
 
 
-def _check_paths(cfg: RunConfig) -> None:
-    # fail fast, before any generation work
-    for name, path in cfg.inputs.items():
+def _check_paths(args: argparse.Namespace, inputs=()) -> None:
+    """Fail fast, before any work: (flag, path) inputs and the output directories must exist."""
+    for flag, path in inputs:
         if not Path(path).exists():
-            raise FileNotFoundError(f"--{name.replace('_', '-')}: no such path: {path}")
-    for name, path in cfg.outputs.items():
+            raise FileNotFoundError(f"{flag}: no such path: {path}")
+    for flag, path in (("--out", args.out), ("--csv-out", getattr(args, "csv_out", None))):
+        if path is None:
+            continue
         parent = Path(path).resolve().parent
         if not parent.is_dir():
-            raise FileNotFoundError(f"--{name.replace('_', '-')}: no such directory: {parent}")
+            raise FileNotFoundError(f"{flag}: no such directory: {parent}")
 
 
-# ---------------------------------------------------------------------------
-# Solving shared by `solve` and `sensitivity`.
+def _write_records(args: argparse.Namespace, records: list[dict], fields, verb: str) -> None:
+    """JSON-lines to --out and, if given, a CSV mirror to --csv-out.
 
-
-def _fuse_tuples(tuples, per_ref_sigmas, length: float, width: float):
-    """solve_all + per-tuple sigma propagation + fusion.
-
-    per_ref_sigmas maps reference letter to (sigma1, sigma2); None means
-    exact ratios, solved with unit sigmas so every surviving tuple carries
-    equal per-ratio uncertainty.
+    fields is the command's schema, the CSV header when there are no records.
     """
-    by_ref = {t.reference: t for t in tuples}
-    estimates, skipped = solve_all(tuples, length, width)
-    members = []
-    for est in estimates:
-        s1, s2 = per_ref_sigmas[est.reference] if per_ref_sigmas else (1.0, 1.0)
-        sigma_d = propagate_sigma(depth_partials(by_ref[est.reference], length, width), s1, s2)
-        members.append((est, sigma_d))
-    return fuse(members), skipped
-
-
-def _solve_record(rec: dict) -> dict:
-    try:
-        tuples = record_tuples(rec)
-        per_ref = record_ratio_sigmas(rec)
-        length = float(rec["length"])
-        width = float(rec["width"])
-    except KeyError as err:
-        raise ParseError(f"record missing field {err.args[0]!r}") from None
-    except (TypeError, ValueError) as err:
-        raise ParseError(f"bad record value: {err}") from None
-    fused, skipped = _fuse_tuples(tuples, per_ref, length, width)
-
-    out = {"index": rec.get("index"), "class_name": rec.get("class_name", "")}
-    if "z" in rec:
-        out["z"] = rec["z"]  # ground truth echoed through for evaluation
-    out["length"] = length
-    out["width"] = width
-    out["d_fusion"] = fused.d_fusion
-    out["theta_fusion"] = fused.theta_fusion
-    out["theta_fusion_rule"] = THETA_FUSION_RULE
-    by_ref = {est.reference: (est, sigma_d, weight) for est, sigma_d, weight in fused.per_tuple}
-    for ref in KEYEDGES:
-        if ref in by_ref:
-            est, sigma_d, weight = by_ref[ref]
-            out[f"theta_{ref}"] = est.theta
-            out[f"d_obj_{ref}"] = est.d_obj
-            out[f"sigma_d_{ref}"] = sigma_d
-            out[f"weight_{ref}"] = weight
-        else:
-            out[f"theta_{ref}"] = None
-            out[f"d_obj_{ref}"] = None
-            out[f"sigma_d_{ref}"] = None
-            out[f"weight_{ref}"] = None
-    out["skipped"] = ";".join(f"{ref}:{reason}" for ref, reason in skipped)
-    return out
+    write_jsonl(args.out, records)
+    if args.csv_out:
+        write_csv(args.csv_out, records, fields=list(records[0]) if records else fields)
+    print(f"{verb} {len(records)} records to {args.out}")
 
 
 # ---------------------------------------------------------------------------
-# Pipeline subcommands.
+# Record subcommands.
 
 
-def _cmd_synth(cfg: RunConfig) -> int:
+def _cmd_synth(args: argparse.Namespace) -> int:
+    scene = _scene(
+        args, args.count,
+        depth_range=(args.depth_min, args.depth_max),
+        gamma_range=(math.radians(args.gamma_min_deg), math.radians(args.gamma_max_deg)),
+    )
+    noise = NoiseModel(kind=args.noise, sigma_px=args.sigma_px, quantum_px=args.quantum_px)
+    intr = _intrinsics(args)
+    _check_paths(args)
     records = []
-    for i, pose in enumerate(generate_scene(cfg.scene)):
-        obs = project_keyedges(pose, cfg.intr)
+    for i, pose in enumerate(generate_scene(scene)):
+        obs = project_keyedges(pose, intr)
         sigmas = None
-        if cfg.noise.kind != "none":
+        if noise.kind != "none":
             # distinct substream per object, disjoint from the pose streams
-            rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(i, 1)))
-            obs = perturb_heights(obs, cfg.noise, rng)
-            sigmas = ratio_sigmas(obs, cfg.noise)
-        records.append(object_record(i, cfg.class_name, pose, cfg.intr, obs, sigmas=sigmas))
-    write_jsonl(cfg.outputs["out"], records)
-    if "csv_out" in cfg.outputs:
-        write_csv(cfg.outputs["csv_out"], records)
-    print(f"wrote {len(records)} records to {cfg.outputs['out']}")
+            rng = np.random.default_rng(np.random.SeedSequence(args.seed, spawn_key=(i, 1)))
+            obs = perturb_heights(obs, noise, rng)
+            sigmas = ratio_sigmas(obs, noise)
+        records.append(object_record(i, args.class_name, pose, intr, obs, sigmas=sigmas))
+    fields = RECORD_FIELDS if sigma_effective(noise) else PLAIN_FIELDS
+    _write_records(args, records, fields, "wrote")
     return 0
 
 
@@ -422,172 +321,141 @@ def _label_calib_pairs(labels: Path, calib: Path) -> list[tuple[Path, Path]]:
     return pairs
 
 
-def _cmd_labelgen(cfg: RunConfig) -> int:
+def _cmd_labelgen(args: argparse.Namespace) -> int:
+    _check_paths(args, (("--labels", args.labels), ("--calib", args.calib)))
     records = []
-    index = 0
-    for label_file, calib_file in _label_calib_pairs(cfg.inputs["labels"], cfg.inputs["calib"]):
+    for label_file, calib_file in _label_calib_pairs(args.labels, args.calib):
         labels = parse_label_file(label_file.read_text(encoding="utf-8"))
         intr = parse_calib(calib_file.read_text(encoding="utf-8"))
-        if cfg.skip_hard:
+        if args.skip_hard:
             labels = [lab for lab in labels if not lab.is_hard]
         for gt in labels_to_ground_truth(labels, intr):
             records.append(
-                object_record(index, gt.label.class_name, gt.pose, intr, gt.observation)
+                object_record(len(records), gt.label.class_name, gt.pose, intr, gt.observation)
             )
-            index += 1
-    write_jsonl(cfg.outputs["out"], records)
-    if "csv_out" in cfg.outputs:
-        fields = [f for f in RECORD_FIELDS if not f.startswith("sigma_")]
-        write_csv(cfg.outputs["csv_out"], records, fields=fields)
-    print(f"wrote {len(records)} records to {cfg.outputs['out']}")
+    _write_records(args, records, PLAIN_FIELDS, "wrote")
     return 0
 
 
-def _cmd_solve(cfg: RunConfig) -> int:
-    outputs = [_solve_record(rec) for rec in read_jsonl(cfg.inputs["in"])]
-    write_jsonl(cfg.outputs["out"], outputs)
-    if "csv_out" in cfg.outputs:
-        write_csv(cfg.outputs["csv_out"], outputs)
-    print(f"solved {len(outputs)} records to {cfg.outputs['out']}")
+def _solve_record(rec: dict) -> dict:
+    try:
+        tuples = record_tuples(rec)
+        per_ref = record_ratio_sigmas(rec)
+        length = float(rec["length"])
+        width = float(rec["width"])
+    except KeyError as err:
+        raise ParseError(f"record missing field {err.args[0]!r}") from None
+    except (TypeError, ValueError) as err:
+        raise ParseError(f"bad record value: {err}") from None
+    try:
+        fused, skipped = fuse_tuples(tuples, per_ref, length, width)
+    except InvalidDims as err:
+        raise ParseError(f"bad record value: {err}") from None
+
+    out = {"index": rec.get("index"), "class_name": rec.get("class_name", "")}
+    if "z" in rec:
+        out["z"] = rec["z"]  # ground truth echoed through for evaluation
+    out["length"] = length
+    out["width"] = width
+    out["d_fusion"] = fused.d_fusion
+    out["theta_fusion"] = fused.theta_fusion
+    out["theta_fusion_rule"] = THETA_FUSION_RULE
+    by_ref = {
+        est.reference: (est.theta, est.d_obj, sigma_d, weight)
+        for est, sigma_d, weight in fused.per_tuple
+    }
+    for ref in KEYEDGES:
+        values = by_ref.get(ref, (None,) * len(PER_TUPLE_FIELDS))
+        out.update((f"{name}_{ref}", v) for name, v in zip(PER_TUPLE_FIELDS, values))
+    out["skipped"] = ";".join(f"{ref}:{reason}" for ref, reason in skipped)
+    return out
+
+
+def _cmd_solve(args: argparse.Namespace) -> int:
+    _check_paths(args, (("--in", args.input_path),))
+    outputs = []
+    for pos, rec in enumerate(read_jsonl(args.input_path)):
+        try:
+            outputs.append(_solve_record(rec))
+        except (ParseError, *DEGENERACY_ERRORS) as err:
+            raise type(err)(f"record {pos} (index {rec.get('index')}): {err}") from None
+    _write_records(args, outputs, SOLVE_FIELDS, "solved")
     return 0
 
 
-def _detection_from_record(rec: dict, pos: int) -> DetectionRecord:
-    try:
-        return DetectionRecord(
-            bbox2d=(
-                float(rec["bbox_left"]), float(rec["bbox_top"]),
-                float(rec["bbox_right"]), float(rec["bbox_bottom"]),
-            ),
-            confidence=float(rec["confidence"]),
-            d_est=float(rec["d_est"]),
-            gamma_est=float(rec["gamma_est"]) if rec.get("gamma_est") is not None else None,
-        )
-    except KeyError as err:
-        raise ParseError(f"detection {pos}: missing field {err.args[0]!r}") from None
-    except (TypeError, ValueError) as err:
-        raise ParseError(f"detection {pos}: {err}") from None
+# ---------------------------------------------------------------------------
+# ARDE report.
 
 
-def _ground_truth_from_record(rec: dict, pos: int) -> GroundTruthRecord:
-    try:
-        return GroundTruthRecord(
-            bbox2d=(
-                float(rec["bbox_left"]), float(rec["bbox_top"]),
-                float(rec["bbox_right"]), float(rec["bbox_bottom"]),
-            ),
-            d_gt=float(rec["z"]),
-            gamma_gt=float(rec["gamma"]),
-        )
-    except KeyError as err:
-        raise ParseError(f"ground truth {pos}: missing field {err.args[0]!r}") from None
-    except (TypeError, ValueError) as err:
-        raise ParseError(f"ground truth {pos}: {err}") from None
+def _read_boxes(path: Path, kind: str, make) -> list:
+    """make(rec, bbox) for each record; a bad one is named by kind and 0-based position."""
+    boxes = []
+    for pos, rec in enumerate(read_jsonl(path)):
+        try:
+            bbox = tuple(float(rec[f"bbox_{side}"]) for side in ("left", "top", "right", "bottom"))
+            boxes.append(make(rec, bbox))
+        except KeyError as err:
+            raise ParseError(f"{kind} {pos}: missing field {err.args[0]!r}") from None
+        except (TypeError, ValueError) as err:
+            raise ParseError(f"{kind} {pos}: {err}") from None
+    return boxes
 
 
-def _cmd_eval_arde(cfg: RunConfig) -> int:
-    dets = [
-        _detection_from_record(rec, i)
-        for i, rec in enumerate(read_jsonl(cfg.inputs["detections"]))
-    ]
-    gts = [
-        _ground_truth_from_record(rec, i)
-        for i, rec in enumerate(read_jsonl(cfg.inputs["ground_truth"]))
-    ]
-    value = arde(dets, gts, cfg.iou_min)
+def _detection(rec: dict, bbox: tuple) -> DetectionRecord:
+    gamma_est = rec.get("gamma_est")
+    return DetectionRecord(
+        bbox2d=bbox,
+        confidence=float(rec["confidence"]),
+        d_est=float(rec["d_est"]),
+        gamma_est=None if gamma_est is None else float(gamma_est),
+    )
+
+
+def _ground_truth(rec: dict, bbox: tuple) -> GroundTruthRecord:
+    return GroundTruthRecord(bbox2d=bbox, d_gt=float(rec["z"]), gamma_gt=float(rec["gamma"]))
+
+
+def _cmd_eval_arde(args: argparse.Namespace) -> int:
+    if not (0.0 < args.iou_min <= 1.0):
+        raise ConfigError(f"--iou-min must be in (0, 1], got {args.iou_min}")
+    bin_edges = None
+    if args.bin_edges_deg:
+        deg = _float_list(args.bin_edges_deg, "--bin-edges-deg")
+        _edge_pairs(deg, "--bin-edges-deg")
+        bin_edges = [math.radians(v) for v in deg]
+    _check_paths(args, (("--detections", args.detections), ("--ground-truth", args.ground_truth)))
+    dets = _read_boxes(args.detections, "detection", _detection)
+    gts = _read_boxes(args.ground_truth, "ground truth", _ground_truth)
+    value = arde(dets, gts, args.iou_min)
     report = {
         "arde": value,
-        "iou_min": cfg.iou_min,
+        "iou_min": args.iou_min,
         "recall_points": 40,
         "n_detections": len(dets),
         "n_ground_truth": len(gts),
     }
-    if cfg.bin_edges is not None:
-        bins = arde_by_viewing_angle(dets, gts, cfg.iou_min, list(cfg.bin_edges))
-        report["bins"] = [
-            {
-                "gamma_min": b.gamma_min,
-                "gamma_max": b.gamma_max,
-                "arde": b.arde,
-                "n_ground_truth": b.n_ground_truth,
-                "n_detections": b.n_detections,
-            }
-            for b in bins
-        ]
-    with open(cfg.outputs["out"], "w", encoding="utf-8", newline="\n") as fh:
+    if bin_edges is not None:
+        report["bins"] = [asdict(b) for b in arde_by_viewing_angle(dets, gts, args.iou_min, bin_edges)]
+    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(report, fh, indent=2)
         fh.write("\n")
     print(f"arde {value} over {len(dets)} detections, {len(gts)} ground truths")
     return 0
 
 
-def run_pipeline(cfg: RunConfig) -> int:
-    """Dispatch synth | labelgen | solve | eval-arde."""
-    _check_paths(cfg)
-    handler = {
-        "synth": _cmd_synth,
-        "labelgen": _cmd_labelgen,
-        "solve": _cmd_solve,
-        "eval-arde": _cmd_eval_arde,
-    }[cfg.subcommand]
-    return handler(cfg)
-
-
 # ---------------------------------------------------------------------------
 # Sensitivity grid.
 
-_TRIAL_ERRORS = (
-    UnobservableDistortion,
-    AllDegenerate,
-    NonPositiveResult,
-    NonPositiveSigma,
-    ZeroHeight,
-)
 
-
-def _noise_model(kind: str, param: float) -> NoiseModel:
-    if kind == "gaussian_height":
-        return NoiseModel(kind=kind, sigma_px=param)
-    if kind == "pixel_quantization":
-        return NoiseModel(kind=kind, quantum_px=param)
-    return NoiseModel(kind="none")
-
-
-def _sensitivity_cell(
-    cfg: RunConfig,
-    noise: NoiseModel,
-    param: float,
-    cell_key: tuple[int, int, int],
-    band: tuple[float, float],
-    gbin: tuple[float, float],
-    gbin_deg: tuple[float, float],
-) -> dict:
-    # one independent stream pair per cell: scene seed + noise draws
-    root = np.random.SeedSequence(cfg.seed, spawn_key=cell_key)
-    scene_child, noise_child = root.spawn(2)
-    scene_seed = int(scene_child.generate_state(1, np.uint64)[0])
-    noise_rng = np.random.default_rng(noise_child)
-
-    scene_cfg = SceneConfig(
-        count=cfg.trials,
-        seed=scene_seed,
-        depth_range=band,
-        gamma_range=gbin,
-        length_range=cfg.scene.length_range,
-        width_range=cfg.scene.width_range,
-        height_range=cfg.scene.height_range,
-        ground_y=cfg.scene.ground_y,
-        min_distortion=cfg.scene.min_distortion,
-    )
+def _trial_errors(scene: SceneConfig, intr: CameraIntrinsics, noise: NoiseModel, noise_rng) -> tuple:
+    """n_failed, then mean and median of relative depth error and of absolute yaw error."""
     rel_depth, abs_yaw = [], []
     n_failed = 0
-    for pose in generate_scene(scene_cfg):
-        obs = perturb_heights(project_keyedges(pose, cfg.intr), noise, noise_rng)
+    for pose in generate_scene(scene):
+        obs = perturb_heights(project_keyedges(pose, intr), noise, noise_rng)
         try:
-            ratios = keyedge_ratios(obs)
-            sig = ratio_sigmas(obs, noise)
-            per_ref = record_ratio_sigmas({**ratios, **sig}) if sig else None
-            fused, _ = _fuse_tuples(object_centric_tuples(ratios), per_ref, pose.length, pose.width)
+            rec = {**keyedge_ratios(obs), **(ratio_sigmas(obs, noise) or {})}
+            fused, _ = fuse_tuples(record_tuples(rec), record_ratio_sigmas(rec), pose.length, pose.width)
         except _TRIAL_ERRORS:
             n_failed += 1
             continue
@@ -600,43 +468,44 @@ def _sensitivity_cell(
         arr = np.asarray(values)
         return float(arr.mean()), float(np.median(arr))
 
-    mean_d, median_d = stats(rel_depth)
-    mean_y, median_y = stats(abs_yaw)
-    return {
-        "noise_kind": noise.kind,
-        "noise_param": param,
-        "depth_min": band[0],
-        "depth_max": band[1],
-        "gamma_min_deg": gbin_deg[0],
-        "gamma_max_deg": gbin_deg[1],
-        "trials": cfg.trials,
-        "n_failed": n_failed,
-        "mean_rel_depth_error": mean_d,
-        "median_rel_depth_error": median_d,
-        "mean_abs_yaw_error": mean_y,
-        "median_abs_yaw_error": median_y,
-    }
+    return (n_failed, *stats(rel_depth), *stats(abs_yaw))
 
 
-def run_sensitivity(cfg: RunConfig) -> int:
+def _cmd_sensitivity(args: argparse.Namespace) -> int:
     """One CSV row per (noise level, depth band, gamma bin) cell."""
-    _check_paths(cfg)
-    gdeg_pairs = list(zip(cfg.gamma_bins_deg, cfg.gamma_bins_deg[1:]))
+    if args.trials <= 0:
+        raise ConfigError(f"--trials must be positive, got {args.trials}")
+    params = [0.0] if args.noise == "none" else _float_list(args.noise_params, "--noise-params")
+    bands = _edge_pairs(_float_list(args.depth_bands, "--depth-bands"), "--depth-bands")
+    gbins_deg = _edge_pairs(_float_list(args.gamma_bins_deg, "--gamma-bins-deg"), "--gamma-bins-deg")
+    scene = _scene(args, args.trials)  # depth/gamma ranges are swapped in per cell
+    intr = _intrinsics(args)
+    _check_paths(args)
     rows = []
-    for noise_idx, param in enumerate(cfg.noise_params):
-        noise = _noise_model(cfg.noise_kind, param)
-        for band_idx, band in enumerate(cfg.depth_bands):
-            for bin_idx, (gbin, gbin_deg) in enumerate(zip(cfg.gamma_bins, gdeg_pairs)):
-                rows.append(
-                    _sensitivity_cell(
-                        cfg, noise, param, (noise_idx, band_idx, bin_idx), band, gbin, gbin_deg
-                    )
+    for noise_idx, param in enumerate(params):
+        noise = NoiseModel(
+            kind=args.noise,
+            sigma_px=param if args.noise == "gaussian_height" else 0.0,
+            quantum_px=param if args.noise == "pixel_quantization" else 0.0,
+        )
+        for band_idx, band in enumerate(bands):
+            for bin_idx, (glo, ghi) in enumerate(gbins_deg):
+                # one independent stream pair per cell: scene seed + noise draws
+                root = np.random.SeedSequence(args.seed, spawn_key=(noise_idx, band_idx, bin_idx))
+                scene_child, noise_child = root.spawn(2)
+                cell = replace(
+                    scene,
+                    seed=int(scene_child.generate_state(1, np.uint64)[0]),
+                    depth_range=band,
+                    gamma_range=(math.radians(glo), math.radians(ghi)),
                 )
-    with open(cfg.outputs["out"], "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=SENSITIVITY_FIELDS, lineterminator="\n")
-        writer.writeheader()
+                errors = _trial_errors(cell, intr, noise, np.random.default_rng(noise_child))
+                rows.append((noise.kind, param, *band, glo, ghi, args.trials, *errors))
+    with open(args.out, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(SENSITIVITY_FIELDS)
         writer.writerows(rows)
-    print(f"wrote {len(rows)} cells to {cfg.outputs['out']}")
+    print(f"wrote {len(rows)} cells to {args.out}")
     return 0
 
 
@@ -647,22 +516,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        cfg = _to_config(args)
-        if cfg.subcommand == "sensitivity":
-            return run_sensitivity(cfg)
-        return run_pipeline(cfg)
-    except (ConfigError, NoGroundTruth) as err:
+        return args.run(args)
+    except tuple(_EXIT_CODES) as err:
         print(f"error: {err}", file=sys.stderr)
-        return 2
-    except ParseError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 3
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 4
-    except DEGENERACY_ERRORS as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 5
+        return next(code for cls, code in _EXIT_CODES.items() if isinstance(err, cls))
 
 
 if __name__ == "__main__":

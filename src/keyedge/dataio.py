@@ -356,7 +356,8 @@ def perturb_heights(
     return replace(obs, heights=heights)
 
 
-def _sigma_effective(noise: NoiseModel) -> float:
+def sigma_effective(noise: NoiseModel) -> float:
+    """Per-height pixel sigma of the noise model; 0 means records carry no sigma fields."""
     if noise.kind == "gaussian_height":
         return noise.sigma_px
     if noise.kind == "pixel_quantization":
@@ -372,7 +373,7 @@ def ratio_sigmas(obs: KeyedgeObservation, noise: NoiseModel) -> dict[str, float]
     when the noise model contributes nothing, in which case records carry
     no sigma fields.
     """
-    s = _sigma_effective(noise)
+    s = sigma_effective(noise)
     if s == 0.0:
         return None
     ratios = keyedge_ratios(obs)

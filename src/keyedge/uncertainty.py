@@ -6,9 +6,10 @@ d_ref = (e1^2/k1^2 + e2^2/k2^2)^(-1/2), so
 
     d(d_obj)/d(r_i) = d_ref / 2 - d_obj * d_ref^2 * e_i / k_i^2
 
-which is what depth_partials returns; no automatic differentiation is
-involved, and the result is checked against central finite differences in
-the tests.
+which is what depth_partials returns; fuse_tuples evaluates it from the
+d_ref and d_obj that each tuple's inversion already holds, so each tuple
+is solved once.  No automatic differentiation is involved, and the result
+is checked against central finite differences in the tests.
 
 sigma_d sums |partial| * sigma per ratio.  Each term takes an absolute
 value so sigma_d is a nonnegative spread even when the partials carry
@@ -64,15 +65,21 @@ class FusedEstimate:
     per_tuple: tuple[tuple[PoseEstimate, float, float], ...]
 
 
-def depth_partials(t: RatioTuple, length: float, width: float) -> tuple[float, float]:
-    """Closed-form (d d_obj / d r1, d d_obj / d r2) at the tuple's values."""
-    theta, d_ref = recovery.solve_tuple(t, length, width)
-    d_obj = recovery.center_depth(theta, d_ref, t.reference, length, width)
+def _partials(
+    t: RatioTuple, est: PoseEstimate, length: float, width: float
+) -> tuple[float, float]:
+    """(d d_obj / d r1, d d_obj / d r2) at the tuple's values, given its inversion."""
     k1, k2 = recovery.axis_scales(t.reference, length, width)
     e1, e2 = t.r1 - 1.0, t.r2 - 1.0
+    d_ref, d_obj = est.d_ref, est.d_obj
     p1 = 0.5 * d_ref - d_obj * d_ref * d_ref * e1 / (k1 * k1)
     p2 = 0.5 * d_ref - d_obj * d_ref * d_ref * e2 / (k2 * k2)
     return p1, p2
+
+
+def depth_partials(t: RatioTuple, length: float, width: float) -> tuple[float, float]:
+    """Closed-form (d d_obj / d r1, d d_obj / d r2) at the tuple's values."""
+    return _partials(t, recovery.pose_estimate(t, length, width), length, width)
 
 
 def propagate_sigma(partials: tuple[float, float], sigma1: float, sigma2: float) -> float:
@@ -113,6 +120,29 @@ def fuse(members: Sequence[tuple[PoseEstimate, float]]) -> FusedEstimate:
         (est, sigma_d, w) for (est, sigma_d), w in zip(members, weights)
     )
     return FusedEstimate(d_fusion=d_fusion, theta_fusion=theta_fusion, per_tuple=per_tuple)
+
+
+def fuse_tuples(
+    tuples: Sequence[RatioTuple],
+    sigmas: dict[str, tuple[float, float]] | None,
+    length: float,
+    width: float,
+) -> tuple[FusedEstimate, list[tuple[str, str]]]:
+    """Solve every tuple once, propagate its sigmas, and fuse the survivors.
+
+    sigmas maps reference letter to (sigma1, sigma2); None means exact
+    ratios, solved with unit sigmas so every surviving tuple carries equal
+    per-ratio uncertainty.  Returns the fused estimate and solve_all's
+    (reference, reason) skips; raises AllDegenerate when nothing survives.
+    """
+    by_ref = {t.reference: t for t in tuples}
+    estimates, skipped = recovery.solve_all(tuples, length, width)
+    members = []
+    for est in estimates:
+        s1, s2 = sigmas[est.reference] if sigmas else (1.0, 1.0)
+        partials = _partials(by_ref[est.reference], est, length, width)
+        members.append((est, propagate_sigma(partials, s1, s2)))
+    return fuse(members), skipped
 
 
 def uncertainty_loss(r: float, sigma: float, r_star: float) -> float:

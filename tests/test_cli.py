@@ -9,12 +9,13 @@ from pathlib import Path
 
 import pytest
 
-from keyedge.cli import SENSITIVITY_FIELDS, main
+from keyedge.cli import SENSITIVITY_FIELDS, SOLVE_FIELDS, main
 from keyedge.dataio import RECORD_FIELDS, read_jsonl, write_jsonl
 from keyedge.geometry import normalize_angle
 from oracles import brute_force_arde
 
 DATA = Path(__file__).parent / "data" / "kitti"
+REPO = Path(__file__).resolve().parent.parent
 PLAIN_FIELDS = [f for f in RECORD_FIELDS if not f.startswith("sigma_")]
 
 
@@ -40,11 +41,6 @@ class TestSynth:
     def test_byte_deterministic(self, tmp_path):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         assert synth(a) == 0 and synth(b) == 0
-        assert a.read_bytes() == b.read_bytes()
-
-    def test_jobs_hint_does_not_change_bytes(self, tmp_path):
-        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-        assert synth(a, "--jobs", 1) == 0 and synth(b, "--jobs", 4) == 0
         assert a.read_bytes() == b.read_bytes()
 
     def test_noise_adds_sigma_fields(self, tmp_path):
@@ -75,6 +71,16 @@ class TestSynth:
         assert len(rows) == len(records)
         assert float(rows[7]["z"]) == records[7]["z"]
 
+    @pytest.mark.parametrize("noise, fields", [
+        ((), PLAIN_FIELDS),
+        (("--noise", "gaussian_height", "--sigma-px", "0.5"), list(RECORD_FIELDS)),
+    ])
+    def test_csv_mirror_zero_records(self, tmp_path, noise, fields):
+        out, mirror = tmp_path / "s.jsonl", tmp_path / "s.csv"
+        assert synth(out, "--csv-out", mirror, *noise, count=0) == 0
+        assert out.read_bytes() == b""
+        assert mirror.read_text() == ",".join(fields) + "\n"
+
 
 class TestSolveFlow:
     def test_noise_free_round_trip(self, tmp_path):
@@ -83,6 +89,7 @@ class TestSolveFlow:
         assert run("solve", "--in", scene, "--out", est) == 0
         inputs, outputs = read_jsonl(scene), read_jsonl(est)
         assert len(outputs) == 30
+        assert list(outputs[0]) == list(SOLVE_FIELDS)
         for rec, sol in zip(inputs, outputs):
             assert sol["theta_fusion_rule"] == "weighted_circular_mean"
             assert sol["skipped"] == ""
@@ -111,6 +118,13 @@ class TestSolveFlow:
         assert len(rows) == 5
         assert float(rows[0]["d_fusion"]) == read_jsonl(est)[0]["d_fusion"]
 
+    def test_csv_mirror_zero_records(self, tmp_path):
+        src, est, mirror = tmp_path / "r.jsonl", tmp_path / "e.jsonl", tmp_path / "e.csv"
+        src.write_text("")
+        assert run("solve", "--in", src, "--out", est, "--csv-out", mirror) == 0
+        assert est.read_bytes() == b""
+        assert mirror.read_text() == ",".join(SOLVE_FIELDS) + "\n"
+
     def test_degenerate_record_exit_5(self, tmp_path):
         rec = {"index": 0, "length": 4.0, "width": 2.0,
                "r_ab": 1.0, "r_bc": 1.0, "r_cd": 1.0, "r_da": 1.0}
@@ -124,6 +138,29 @@ class TestSolveFlow:
         src, est = tmp_path / "r.jsonl", tmp_path / "e.jsonl"
         write_jsonl(src, [rec])
         assert run("solve", "--in", src, "--out", est) == 3
+
+    @pytest.mark.parametrize("dims", [{"length": -4.0}, {"width": 0}])
+    def test_non_positive_dims_exit_3(self, tmp_path, capsys, dims):
+        rec = {"index": 0, "length": 4.0, "width": 2.0,
+               "r_ab": 1.1, "r_bc": 0.9, "r_cd": 1.05, "r_da": 0.95, **dims}
+        src, est = tmp_path / "r.jsonl", tmp_path / "e.jsonl"
+        write_jsonl(src, [rec])
+        assert run("solve", "--in", src, "--out", est) == 3
+        (name,) = dims
+        assert f"{name} must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad, code", [
+        ({"r_ab": 1.0, "r_bc": 1.0, "r_cd": 1.0, "r_da": 1.0}, 5),
+        ({"r_da": "x"}, 3),
+    ])
+    def test_error_names_record(self, tmp_path, capsys, bad, code):
+        scene, est = tmp_path / "s.jsonl", tmp_path / "e.jsonl"
+        assert synth(scene, count=4, seed=6) == 0
+        records = read_jsonl(scene)
+        records[2].update(index=17, **bad)
+        write_jsonl(scene, records)
+        assert run("solve", "--in", scene, "--out", est) == code
+        assert capsys.readouterr().err.startswith("error: record 2 (index 17): ")
 
 
 class TestLabelgen:
@@ -315,6 +352,20 @@ class TestExitCodes:
                    "--ground-truth", tmp_path / "g.jsonl",
                    "--out", tmp_path / "r.json", "--iou-min", 1.5) == 2
 
+    @pytest.mark.parametrize("flag", ["--depth-bands", "--gamma-bins-deg", "--noise-params"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_list_value(self, tmp_path, capsys, flag, value):
+        assert run("sensitivity", "--seed", 1, "--trials", 5, "--out", tmp_path / "g.csv",
+                   f"{flag}=5,{value},30") == 2
+        assert f"{flag} values must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_bin_edge(self, tmp_path, capsys, value):
+        det_path, gt_path = TestEvalArde().write_inputs(tmp_path)
+        assert run("eval-arde", "--detections", det_path, "--ground-truth", gt_path,
+                   "--out", tmp_path / "r.json", f"--bin-edges-deg=-40,0,{value}") == 2
+        assert "--bin-edges-deg values must be finite" in capsys.readouterr().err
+
     def test_zero_trials(self, tmp_path):
         assert run("sensitivity", "--seed", 1, "--trials", 0,
                    "--out", tmp_path / "g.csv") == 2
@@ -340,3 +391,18 @@ class TestModuleEntry:
         )
         assert proc.returncode == 0, proc.stderr
         assert len(read_jsonl(out)) == 3
+
+
+class TestBenchTracer:
+    def test_install_binds_every_traced_name(self):
+        # The traced benchmark run wraps named library functions; install()
+        # raises when one of them is no longer bound anywhere.
+        code = (
+            "import sys; sys.path[:0] = [sys.argv[1], sys.argv[2]]; "
+            "import keyedge, keyedge.cli, tracing; tracing.install(keyedge)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(REPO / "src"), str(REPO / "bench")],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr

@@ -22,6 +22,7 @@ from keyedge.uncertainty import (
     RatioWithSigma,
     depth_partials,
     fuse,
+    fuse_tuples,
     propagate_sigma,
     uncertainty_loss,
 )
@@ -207,6 +208,53 @@ class TestUncertaintyLoss:
         l1 = uncertainty_loss(1.0 + e, s1, 1.0)
         l2 = uncertainty_loss(1.0 + e, s2, 1.0)
         assert l2 >= l1 - 1e-12
+
+
+@st.composite
+def poses(draw):
+    z = draw(st.floats(4.0, 80.0))
+    gamma = draw(st.floats(-0.7, 0.7))
+    yaw = draw(st.floats(-math.pi, math.pi, exclude_max=True))
+    length = draw(st.floats(2.5, 6.0))
+    width = draw(st.floats(1.2, 2.5))
+    height = draw(st.floats(1.0, 2.5))
+    center = (z * math.tan(gamma), 1.65 - height / 2, z)
+    return BoxPose3D(center=center, dims=(length, width, height), yaw=yaw)
+
+
+def composed_fusion(tuples, sigmas, length, width):
+    """The solve_all -> depth_partials -> propagate_sigma -> fuse composition."""
+    by_ref = {t.reference: t for t in tuples}
+    estimates, skipped = solve_all(tuples, length, width)
+    members = []
+    for est in estimates:
+        s1, s2 = sigmas[est.reference] if sigmas else (1.0, 1.0)
+        partials = depth_partials(by_ref[est.reference], length, width)
+        members.append((est, propagate_sigma(partials, s1, s2)))
+    return fuse(members), skipped
+
+
+sigma_maps = st.none() | st.fixed_dictionaries(
+    {ref: st.tuples(st.floats(1e-4, 0.1), st.floats(1e-4, 0.1)) for ref in "abcd"}
+)
+
+
+class TestFuseTuples:
+    @given(poses(), sigma_maps)
+    @settings(max_examples=200)
+    def test_equals_composition(self, pose, sigmas):
+        tuples = to_object_centric_tuples(camera_centric_view(project_keyedges(pose, INTR)))
+        got = fuse_tuples(tuples, sigmas, pose.length, pose.width)
+        assert got == composed_fusion(tuples, sigmas, pose.length, pose.width)
+
+    @given(poses(), sigma_maps, st.integers(0, 3))
+    def test_equals_composition_with_degenerate_tuple(self, pose, sigmas, drop):
+        tuples = list(to_object_centric_tuples(camera_centric_view(project_keyedges(pose, INTR))))
+        tuples[drop] = RatioTuple(tuples[drop].reference, 1.0, 1.0)
+        fused, skipped = fuse_tuples(tuples, sigmas, pose.length, pose.width)
+        assert (tuples[drop].reference, "unobservable distortion") in skipped
+        assert len(fused.per_tuple) == 4 - len(skipped)
+        assert (fused, skipped) == composed_fusion(tuples, sigmas, pose.length, pose.width)
 
 
 class TestEndToEnd:
