@@ -64,6 +64,7 @@ from .geometry import (
 )
 from .indexing import DegenerateObservation
 from .metrics import (
+    RECALL_POINTS,
     DetectionRecord,
     GroundTruthRecord,
     NoGroundTruth,
@@ -81,6 +82,8 @@ from .uncertainty import NonPositiveSigma, fuse_tuples
 THETA_FUSION_RULE = "weighted_circular_mean"
 
 PLAIN_FIELDS = tuple(f for f in RECORD_FIELDS if f not in SIGMA_KEYS)
+
+LABELGEN_FIELDS = (*PLAIN_FIELDS, "frame")
 
 PER_TUPLE_FIELDS = ("theta", "d_obj", "sigma_d", "weight")
 
@@ -321,19 +324,30 @@ def _label_calib_pairs(labels: Path, calib: Path) -> list[tuple[Path, Path]]:
     return pairs
 
 
+def _frame(label_file: Path) -> int | str:
+    """The frame a label file describes: its stem, as an integer when all digits."""
+    stem = label_file.stem
+    return int(stem) if stem.isascii() and stem.isdigit() else stem
+
+
 def _cmd_labelgen(args: argparse.Namespace) -> int:
     _check_paths(args, (("--labels", args.labels), ("--calib", args.calib)))
     records = []
     for label_file, calib_file in _label_calib_pairs(args.labels, args.calib):
-        labels = parse_label_file(label_file.read_text(encoding="utf-8"))
         intr = parse_calib(calib_file.read_text(encoding="utf-8"))
-        if args.skip_hard:
-            labels = [lab for lab in labels if not lab.is_hard]
-        for gt in labels_to_ground_truth(labels, intr):
-            records.append(
-                object_record(len(records), gt.label.class_name, gt.pose, intr, gt.observation)
-            )
-    _write_records(args, records, PLAIN_FIELDS, "wrote")
+        try:
+            labels = parse_label_file(label_file.read_text(encoding="utf-8"))
+            if args.skip_hard:
+                labels = [lab for lab in labels if not lab.is_hard]
+            gts = labels_to_ground_truth(labels, intr)
+        except ParseError as err:  # BehindCamera included
+            raise ParseError(f"{label_file}: {err}") from None
+        frame = _frame(label_file)
+        for gt in gts:
+            rec = object_record(len(records), gt.label.class_name, gt.pose, intr, gt.observation)
+            rec["frame"] = frame
+            records.append(rec)
+    _write_records(args, records, LABELGEN_FIELDS, "wrote")
     return 0
 
 
@@ -408,11 +422,14 @@ def _detection(rec: dict, bbox: tuple) -> DetectionRecord:
         confidence=float(rec["confidence"]),
         d_est=float(rec["d_est"]),
         gamma_est=None if gamma_est is None else float(gamma_est),
+        frame=rec.get("frame"),
     )
 
 
 def _ground_truth(rec: dict, bbox: tuple) -> GroundTruthRecord:
-    return GroundTruthRecord(bbox2d=bbox, d_gt=float(rec["z"]), gamma_gt=float(rec["gamma"]))
+    return GroundTruthRecord(
+        bbox2d=bbox, d_gt=float(rec["z"]), gamma_gt=float(rec["gamma"]), frame=rec.get("frame")
+    )
 
 
 def _cmd_eval_arde(args: argparse.Namespace) -> int:
@@ -430,7 +447,7 @@ def _cmd_eval_arde(args: argparse.Namespace) -> int:
     report = {
         "arde": value,
         "iou_min": args.iou_min,
-        "recall_points": 40,
+        "recall_points": RECALL_POINTS,
         "n_detections": len(dets),
         "n_ground_truth": len(gts),
     }

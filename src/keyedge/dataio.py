@@ -77,7 +77,7 @@ class NonPositiveFocal(ValueError):
     """Calibration carries a non-positive focal length."""
 
 
-class BehindCamera(ValueError):
+class BehindCamera(ParseError):
     """A label places its object at z <= 0."""
 
 
@@ -87,7 +87,7 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class KittiLabel:
-    """One parsed label line, values exactly as read."""
+    """One parsed label line, values exactly as read, and its 1-based line number."""
 
     class_name: str
     truncated: float
@@ -97,6 +97,7 @@ class KittiLabel:
     dims_hwl: tuple[float, float, float]
     location: tuple[float, float, float]
     rotation_y: float
+    line: int | None = None
 
     @property
     def is_dontcare(self) -> bool:
@@ -157,6 +158,7 @@ def parse_label_file(text: str) -> list[KittiLabel]:
                 dims_hwl=dims,
                 location=location,
                 rotation_y=rotation_y,
+                line=line_no,
             )
         )
     return labels
@@ -201,7 +203,7 @@ def labels_to_ground_truth(
         h, w, l = label.dims_hwl
         x, y_bottom, z = label.location
         if z <= 0.0:
-            raise BehindCamera(f"label {label.class_name} at z={z}")
+            raise BehindCamera(f"label {label.class_name} at z={z}", line=label.line, field=14)
         pose = BoxPose3D(center=(x, y_bottom - h / 2.0, z), dims=(l, w, h), yaw=label.rotation_y)
         obs = project_keyedges(pose, intr)
         alpha = normalize_angle(pose.yaw - viewing_angle(pose.center))
@@ -452,8 +454,12 @@ def object_record(
 
 
 def record_tuples(record: dict) -> tuple[RatioTuple, ...]:
-    """Canonical tuples from a record's four stored ratios."""
-    return object_centric_tuples({key: float(record[key]) for key in RATIO_KEYS})
+    """Canonical tuples from a record's four stored ratios, each finite and positive."""
+    ratios = {key: float(record[key]) for key in RATIO_KEYS}
+    for key, r in ratios.items():
+        if not (math.isfinite(r) and r > 0.0):
+            raise ParseError(f"{key} must be finite and positive, got {r!r}")
+    return object_centric_tuples(ratios)
 
 
 def record_ratio_sigmas(record: dict) -> dict[str, tuple[float, float]] | None:
@@ -470,6 +476,8 @@ def record_ratio_sigmas(record: dict) -> dict[str, tuple[float, float]] | None:
         p, q = key[2], key[3]
         r = float(record[key])
         s = float(record["sigma_" + key[2:]])
+        if not (math.isfinite(s) and s >= 0.0):
+            raise ParseError(f"sigma_{key[2:]} must be finite and nonnegative, got {s!r}")
         directed[(p, q)] = s
         directed[(q, p)] = s / (r * r)
     return {

@@ -1,21 +1,29 @@
 """Average relative depth error (ARDE) over a recall sweep.
 
-Detections and ground truths are matched once, globally, by greedy
-assignment in descending confidence order: a detection is a true positive
-iff its best-overlap unmatched ground truth reaches ``iou_min``.  The
-confidence axis is then swept over the distinct confidence values (ties
-form atomic groups).  For each of ``recall_points`` evenly spaced recall
-targets k/N the score is the mean relative depth error |d_est - d_gt| /
-d_gt over true positives at the highest cutoff whose recall reaches the
-target.  Unreachable targets contribute zero.  The per-point scores are
-replaced by their suffix maximum, which makes the envelope non-increasing
-in recall, and ARDE is the mean of the envelope.
+Detections and ground truths are matched within each frame (image), as
+in the KITTI protocol: a detection only ever claims a ground truth that
+carries the same ``frame``.  Records without a frame share frame None, so
+a file pair where no record carries one is scored as a single frame.
+Detections are visited once, in descending confidence order across all
+frames, and each claims the best-overlap unmatched ground truth of its
+frame: it is a true positive iff that overlap reaches ``iou_min``.  The
+confidence axis is then swept globally over the distinct confidence
+values (ties form atomic groups).  For each of ``recall_points`` evenly
+spaced recall targets k/N the score is the mean relative depth error
+|d_est - d_gt| / d_gt over true positives at the highest cutoff whose
+recall reaches the target.  Unreachable targets contribute zero.  The
+per-point scores are replaced by their suffix maximum, which makes the
+envelope non-increasing in recall, and ARDE is the mean of the envelope.
 
-``arde_by_viewing_angle`` buckets ground truths by viewing angle and
-repeats the whole computation per bucket.  Detections inherit the bucket
-of their matched ground truth; unmatched detections fall back to their own
-estimated viewing angle and are dropped from the breakdown if they have
-none.
+``arde_by_viewing_angle`` buckets ground truths by viewing angle.
+Detections inherit the bucket of their matched ground truth; unmatched
+detections fall back to their own estimated viewing angle and are dropped
+from the breakdown if they have none.  Each bucket's ARDE is the sweep
+over its share of the one overall matching.  This equals rerunning the
+matching on the bucket's records alone: a detection of bucket b either
+claimed a bucket-b ground truth or fell below ``iou_min`` against every
+free one, so by induction over the visiting order it sees the same free
+bucket-b ground truths and makes the same choice in both runs.
 """
 
 from __future__ import annotations
@@ -25,8 +33,19 @@ import math
 from dataclasses import dataclass
 
 
+Frame = int | str | None
+
+RECALL_POINTS = 40  # AP|R40 (Simonelli et al. 2019)
+
+
 class NoGroundTruth(ValueError):
     """ARDE is undefined without at least one ground-truth object."""
+
+
+def _check_frame(frame: Frame) -> None:
+    # bool is an int subclass, but a JSON true is no frame identity
+    if frame is not None and (isinstance(frame, bool) or not isinstance(frame, (int, str))):
+        raise ValueError(f"frame must be an integer, a string or None, got {frame!r}")
 
 
 def _check_bbox(bbox: tuple[float, float, float, float]) -> None:
@@ -39,15 +58,17 @@ def _check_bbox(bbox: tuple[float, float, float, float]) -> None:
 
 @dataclass(frozen=True)
 class DetectionRecord:
-    """One detection: 2D box, confidence, and an estimated object depth."""
+    """One detection: 2D box, confidence, an estimated object depth, its frame."""
 
     bbox2d: tuple[float, float, float, float]
     confidence: float
     d_est: float
     gamma_est: float | None = None
+    frame: Frame = None
 
     def __post_init__(self) -> None:
         _check_bbox(self.bbox2d)
+        _check_frame(self.frame)
         if not math.isfinite(self.confidence):
             raise ValueError(f"confidence must be finite, got {self.confidence!r}")
         if not (math.isfinite(self.d_est) and self.d_est > 0.0):
@@ -58,14 +79,16 @@ class DetectionRecord:
 
 @dataclass(frozen=True)
 class GroundTruthRecord:
-    """One annotated object: 2D box, true depth, and viewing angle."""
+    """One annotated object: 2D box, true depth, viewing angle, and its frame."""
 
     bbox2d: tuple[float, float, float, float]
     d_gt: float
     gamma_gt: float
+    frame: Frame = None
 
     def __post_init__(self) -> None:
         _check_bbox(self.bbox2d)
+        _check_frame(self.frame)
         if not (math.isfinite(self.d_gt) and self.d_gt > 0.0):
             raise ValueError(f"d_gt must be positive, got {self.d_gt!r}")
         if not math.isfinite(self.gamma_gt):
@@ -115,25 +138,30 @@ def match_detections(
     ground_truths: list[GroundTruthRecord],
     iou_min: float = 0.7,
 ) -> list[MatchResult]:
-    """Greedy one-to-one assignment in descending confidence order.
+    """Greedy one-to-one assignment within each frame, in descending confidence order.
 
-    Each detection claims its highest-IoU still-unmatched ground truth,
-    provided the overlap reaches ``iou_min``; otherwise it is a false
-    positive.  Confidence ties keep input order.  Results are returned in
-    the visiting order (descending confidence).
+    Each detection claims the highest-IoU still-unmatched ground truth of
+    its own frame (the first one on equal IoU), provided the overlap
+    reaches ``iou_min``; otherwise it is a false positive.  Confidence ties
+    keep input order.  Results are returned in the visiting order
+    (descending confidence).
     """
     if not (0.0 < iou_min <= 1.0):
         raise ValueError(f"iou_min must be in (0, 1], got {iou_min!r}")
+    in_frame: dict[Frame, list[int]] = {}
+    for j, gt in enumerate(ground_truths):
+        in_frame.setdefault(gt.frame, []).append(j)
     order = sorted(range(len(detections)), key=lambda i: (-detections[i].confidence, i))
     taken: set[int] = set()
     results = []
     for i in order:
+        bbox = detections[i].bbox2d
         best_j = None
         best_iou = 0.0
-        for j, gt in enumerate(ground_truths):
+        for j in in_frame.get(detections[i].frame, ()):
             if j in taken:
                 continue
-            overlap = iou_2d(detections[i].bbox2d, gt.bbox2d)
+            overlap = iou_2d(bbox, ground_truths[j].bbox2d)
             if overlap > best_iou:
                 best_j, best_iou = j, overlap
         if best_j is not None and best_iou >= iou_min:
@@ -148,7 +176,7 @@ def arde(
     detections: list[DetectionRecord],
     ground_truths: list[GroundTruthRecord],
     iou_min: float = 0.7,
-    recall_points: int = 40,
+    recall_points: int = RECALL_POINTS,
 ) -> float:
     """Mean of the suffix-max score envelope over the recall sweep."""
     if recall_points < 1:
@@ -156,8 +184,17 @@ def arde(
     if not ground_truths:
         raise NoGroundTruth("ARDE requires at least one ground-truth object")
     results = match_detections(detections, ground_truths, iou_min)
-    n_gt = len(ground_truths)
+    return _sweep(results, detections, ground_truths, len(ground_truths), recall_points)
 
+
+def _sweep(
+    results: list[MatchResult],
+    detections: list[DetectionRecord],
+    ground_truths: list[GroundTruthRecord],
+    n_gt: int,
+    recall_points: int,
+) -> float:
+    """ARDE of match results in visiting order, against n_gt ground truths."""
     # One pass over the descending-confidence list, closing a sweep level
     # at the end of each distinct-confidence group.
     levels: list[tuple[float, float]] = []  # (recall, mean rel depth error)
@@ -198,7 +235,7 @@ def arde_by_viewing_angle(
     iou_min: float,
     bin_edges: list[float],
 ) -> list[ArdeBin]:
-    """ARDE recomputed per viewing-angle bucket [edge_i, edge_{i+1})."""
+    """ARDE per viewing-angle bucket [edge_i, edge_{i+1}), all from one matching."""
     if len(bin_edges) < 2:
         raise ValueError("bin_edges needs at least two entries")
     if not all(math.isfinite(e) for e in bin_edges):
@@ -214,25 +251,24 @@ def arde_by_viewing_angle(
         return bisect.bisect_right(bin_edges, gamma) - 1
 
     gt_bins = [bin_of(gt.gamma_gt) for gt in ground_truths]
-    det_bins: dict[int, int | None] = {}
-    for row in match_detections(detections, ground_truths, iou_min):
-        if row.is_tp:
-            det_bins[row.det_index] = gt_bins[row.gt_index]
-        else:
-            det_bins[row.det_index] = bin_of(detections[row.det_index].gamma_est)
+    results = match_detections(detections, ground_truths, iou_min)
+    det_bins = [
+        gt_bins[row.gt_index] if row.is_tp else bin_of(detections[row.det_index].gamma_est)
+        for row in results
+    ]
 
     bins = []
     for idx in range(len(bin_edges) - 1):
-        sub_gts = [g for g, b in zip(ground_truths, gt_bins) if b == idx]
-        sub_dets = [d for i, d in enumerate(detections) if det_bins[i] == idx]
-        value = arde(sub_dets, sub_gts, iou_min) if sub_gts else None
+        n_gt = gt_bins.count(idx)
+        rows = [row for row, b in zip(results, det_bins) if b == idx]
+        value = _sweep(rows, detections, ground_truths, n_gt, RECALL_POINTS) if n_gt else None
         bins.append(
             ArdeBin(
                 gamma_min=bin_edges[idx],
                 gamma_max=bin_edges[idx + 1],
                 arde=value,
-                n_ground_truth=len(sub_gts),
-                n_detections=len(sub_dets),
+                n_ground_truth=n_gt,
+                n_detections=len(rows),
             )
         )
     return bins

@@ -87,22 +87,30 @@ def _iou(box_a, box_b):
     return inter / union
 
 
-def _greedy_match(dets, gts, iou_min):
-    """dets: list of (bbox, confidence, d_est); gts: list of (bbox, d_gt).
+def _frame(entry, position):
+    """entry[position], or None for an entry that carries no frame."""
+    return entry[position] if len(entry) > position else None
 
-    Returns per-detection (confidence, is_tp, rel_depth_error) tuples in
-    descending confidence order (ties by input position).
+
+def _greedy_match(dets, gts, iou_min):
+    """dets: list of (bbox, confidence, d_est[, frame]); gts: list of (bbox, d_gt[, frame]).
+
+    A missing frame is None.  A detection only considers ground truths of
+    its own frame.  Returns per-detection (confidence, is_tp,
+    rel_depth_error) tuples in descending confidence order (ties by input
+    position).
     """
     order = sorted(range(len(dets)), key=lambda i: (-dets[i][1], i))
     taken = set()
     rows = []
     for i in order:
-        bbox, conf, d_est = dets[i]
+        bbox, conf, d_est = dets[i][:3]
+        frame = _frame(dets[i], 3)
         best_j, best_iou = None, 0.0
-        for j, (gt_bbox, _d_gt) in enumerate(gts):
-            if j in taken:
+        for j, gt in enumerate(gts):
+            if j in taken or _frame(gt, 2) != frame:
                 continue
-            v = _iou(bbox, gt_bbox)
+            v = _iou(bbox, gt[0])
             if v > best_iou:
                 best_j, best_iou = j, v
         if best_j is not None and best_iou >= iou_min:
@@ -117,7 +125,8 @@ def _greedy_match(dets, gts, iou_min):
 def brute_force_arde(dets, gts, iou_min=0.7, recall_points=40):
     """Enumerate every confidence cutoff explicitly and average the envelope.
 
-    For each recall point k/N the score is the mean relative depth error
+    Boxes are matched within their frame (see _greedy_match).  For each
+    recall point k/N the score is the mean relative depth error
     over true positives at the highest cutoff whose recall reaches the
     point; unreachable points contribute zero via the suffix-max envelope.
     """

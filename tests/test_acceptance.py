@@ -173,14 +173,19 @@ def test_criterion_06_loss_fixture_and_minimizer():
     assert abs(best - abs(r - r_star)) <= 1e-3 + 1e-12
 
 
-def _random_eval_set(rng):
+def _random_eval_set(rng, n_frames):
+    """Ground truth i sits in frame i % n_frames at x = 40 * (i // n_frames).
+
+    With several frames, ground truths of different frames share a box, so
+    a detection of one frame always overlaps a ground truth of another.
+    """
     n_gt = int(rng.integers(1, 7))
     gts, dets = [], []
     for i in range(n_gt):
-        x = 40.0 * i
+        x = 40.0 * (i // n_frames)
         box = (x, 0.0, x + 20.0, 20.0)
         d_gt = float(rng.uniform(5.0, 60.0))
-        gts.append(GroundTruthRecord(bbox2d=box, d_gt=d_gt, gamma_gt=0.0))
+        gts.append(GroundTruthRecord(bbox2d=box, d_gt=d_gt, gamma_gt=0.0, frame=i % n_frames))
     palette = (0.3, 0.5, 0.5, 0.7, 0.9, 0.9)
     n_det = int(rng.integers(0, 13))
     for _ in range(n_det):
@@ -195,22 +200,25 @@ def _random_eval_set(rng):
             box = (x, 0.0, x + 20.0, 20.0)
             d_est = float(rng.uniform(5.0, 60.0))
         conf = float(palette[int(rng.integers(0, len(palette)))])
-        dets.append(DetectionRecord(bbox2d=box, confidence=conf, d_est=d_est))
+        frame = int(rng.integers(0, n_frames))
+        dets.append(DetectionRecord(bbox2d=box, confidence=conf, d_est=d_est, frame=frame))
     return dets, gts
 
 
 def test_criterion_07_arde_oracle_equivalence():
     # The envelope monotonicity assert runs inside arde() on every call.
+    # Equivalence must hold with several frames and with every box in one.
     start = time.perf_counter()
     rng = np.random.default_rng(7)
-    for _ in range(200):
-        dets, gts = _random_eval_set(rng)
-        got = arde(dets, gts)
-        want = brute_force_arde(
-            [(d.bbox2d, d.confidence, d.d_est) for d in dets],
-            [(g.bbox2d, g.d_gt) for g in gts],
-        )
-        assert abs(got - want) <= 1e-12
+    for n_frames in (3, 1):
+        for _ in range(200):
+            dets, gts = _random_eval_set(rng, n_frames)
+            got = arde(dets, gts)
+            want = brute_force_arde(
+                [(d.bbox2d, d.confidence, d.d_est, d.frame) for d in dets],
+                [(g.bbox2d, g.d_gt, g.frame) for g in gts],
+            )
+            assert abs(got - want) <= 1e-12
     assert time.perf_counter() - start < 5.0
 
 

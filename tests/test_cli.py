@@ -9,12 +9,23 @@ from pathlib import Path
 
 import pytest
 
-from keyedge.cli import SENSITIVITY_FIELDS, SOLVE_FIELDS, main
+from keyedge.cli import LABELGEN_FIELDS, SENSITIVITY_FIELDS, SOLVE_FIELDS, main
 from keyedge.dataio import RECORD_FIELDS, read_jsonl, write_jsonl
 from keyedge.geometry import normalize_angle
 from oracles import brute_force_arde
 
 DATA = Path(__file__).parent / "data" / "kitti"
+# eval-arde on the fixture labels without frames (TestLabelgen), as the
+# matcher that pooled every box wrote it.
+REPORT_WITHOUT_FRAMES = (
+    b'{\n  "arde": 0.07500000000000005,\n  "iou_min": 0.7,\n  "recall_points": 40,\n'
+    b'  "n_detections": 7,\n  "n_ground_truth": 6,\n  "bins": [\n    {\n'
+    b'      "gamma_min": -0.6981317007977318,\n      "gamma_max": 0.0,\n'
+    b'      "arde": 0.07500000000000007,\n      "n_ground_truth": 2,\n      "n_detections": 2\n'
+    b'    },\n    {\n      "gamma_min": 0.0,\n      "gamma_max": 0.6981317007977318,\n'
+    b'      "arde": 0.07500000000000004,\n      "n_ground_truth": 4,\n      "n_detections": 5\n'
+    b'    }\n  ]\n}\n'
+)
 REPO = Path(__file__).resolve().parent.parent
 PLAIN_FIELDS = [f for f in RECORD_FIELDS if not f.startswith("sigma_")]
 
@@ -25,6 +36,44 @@ def run(*argv):
 
 def synth(out, *extra, count=20, seed=3):
     return run("synth", "--count", count, "--seed", seed, "--out", out, *extra)
+
+
+BBOX_FIELDS = ("bbox_left", "bbox_top", "bbox_right", "bbox_bottom")
+
+
+def label_line(x, y, z, h, w, l, ry):
+    """A KITTI Car label; labelgen ignores the alpha and bbox columns."""
+    return f"Car 0.00 0 0.00 0.00 0.00 10.00 10.00 {h} {w} {l} {x} {y} {z} {ry}\n"
+
+
+def write_two_frame_trap(tmp_path):
+    """Frames that pooled matching gets wrong; returns (detections, ground truth) paths.
+
+    Frame 0 holds car A.  Frame 1 holds car B, A scaled by 1.5 about the
+    camera and moved 0.3 m right, so its box nearly covers A's and its depth
+    is half again A's.  A frame-1 detection sits exactly on A's box with
+    B's depth; within frame 1 it matches B, across the pooled files it
+    takes A.  A frame-2 detection, in a frame with no ground truth, also
+    sits on A's box: per frame it is a false positive, pooled it takes B.
+    """
+    a = dict(x=-2.91, y=1.65, z=8.0, h=1.40, w=1.50, l=3.60, ry=0.30)
+    b = {k: v * 1.5 for k, v in a.items() if k != "ry"}
+    b.update(x=b["x"] + 0.3, ry=a["ry"])
+    labels, calib = tmp_path / "label_2", tmp_path / "calib"
+    labels.mkdir()
+    calib.mkdir()
+    for frame, car in enumerate((a, b)):
+        (labels / f"{frame:06d}.txt").write_text(label_line(**car))
+        (calib / f"{frame:06d}.txt").write_text((DATA / "calib" / "000001.txt").read_text())
+    gt_path, det_path = tmp_path / "gt.jsonl", tmp_path / "dets.jsonl"
+    assert run("labelgen", "--labels", labels, "--calib", calib, "--out", gt_path) == 0
+    gt_a, gt_b = read_jsonl(gt_path)
+    on_a = {k: gt_a[k] for k in BBOX_FIELDS}
+    write_jsonl(det_path, [
+        {**on_a, "frame": 1, "confidence": 0.9, "d_est": gt_b["z"], "gamma_est": gt_a["gamma"]},
+        {**on_a, "frame": 2, "confidence": 0.5, "d_est": gt_a["z"], "gamma_est": gt_a["gamma"]},
+    ])
+    return det_path, gt_path
 
 
 class TestSynth:
@@ -149,6 +198,32 @@ class TestSolveFlow:
         (name,) = dims
         assert f"{name} must be positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", [{"r_ab": 0.0}, {"r_bc": -0.9}, {"r_cd": math.inf},
+                                     {"r_da": math.nan}])
+    def test_ratio_not_finite_and_positive_exit_3(self, tmp_path, capsys, bad):
+        rec = {"index": 4, "length": 4.0, "width": 2.0,
+               "r_ab": 1.1, "r_bc": 0.9, "r_cd": 1.05, "r_da": 0.95, **bad}
+        for sigmas in ({}, {"sigma_ab": 0.01, "sigma_bc": 0.01, "sigma_cd": 0.01, "sigma_da": 0.01}):
+            src, est = tmp_path / "r.jsonl", tmp_path / "e.jsonl"
+            write_jsonl(src, [{**rec, **sigmas}])
+            assert run("solve", "--in", src, "--out", est) == 3
+            (key,) = bad
+            err = capsys.readouterr().err
+            assert err.startswith("error: record 0 (index 4): ")
+            assert f"{key} must be finite and positive" in err
+
+    @pytest.mark.parametrize("sigma", [-0.01, math.nan, math.inf])
+    def test_sigma_not_finite_and_nonnegative_exit_3(self, tmp_path, capsys, sigma):
+        rec = {"index": 4, "length": 4.0, "width": 2.0,
+               "r_ab": 1.1, "r_bc": 0.9, "r_cd": 1.05, "r_da": 0.95,
+               "sigma_ab": sigma, "sigma_bc": 0.01, "sigma_cd": 0.01, "sigma_da": 0.01}
+        src, est = tmp_path / "r.jsonl", tmp_path / "e.jsonl"
+        write_jsonl(src, [rec])
+        assert run("solve", "--in", src, "--out", est) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: record 0 (index 4): ")
+        assert "sigma_ab must be finite and nonnegative" in err
+
     @pytest.mark.parametrize("bad, code", [
         ({"r_ab": 1.0, "r_bc": 1.0, "r_cd": 1.0, "r_da": 1.0}, 5),
         ({"r_da": "x"}, 3),
@@ -199,6 +274,60 @@ class TestLabelgen:
         out = tmp_path / "gt.jsonl"
         assert run("labelgen", "--labels", labels,
                    "--calib", DATA / "calib" / "000001.txt", "--out", out) == 3
+
+    def test_label_behind_camera_exit_3(self, tmp_path, capsys):
+        labels = tmp_path / "000001.txt"
+        # a good label, a blank line, then the label at z -5 on line 3
+        labels.write_text(label_line(0.0, 1.65, 10.0, 1.5, 1.8, 4.0, 0.5) + "\n"
+                          + label_line(0.0, 1.65, -5.0, 1.5, 1.8, 4.0, 0.5))
+        out = tmp_path / "gt.jsonl"
+        assert run("labelgen", "--labels", labels,
+                   "--calib", DATA / "calib" / "000001.txt", "--out", out) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {labels}: ")
+        assert "z=-5.0 (line 3, field 14)" in err
+        assert not out.exists()
+
+    def test_frames_from_file_stems(self, tmp_path):
+        out = tmp_path / "gt.jsonl"
+        assert run("labelgen", "--labels", DATA / "labels", "--calib", DATA / "calib",
+                   "--out", out) == 0
+        records = read_jsonl(out)
+        assert list(records[0]) == list(LABELGEN_FIELDS)
+        assert [r["frame"] for r in records] == [1, 1, 1, 1, 2, 2]
+        named = tmp_path / "drive_7.txt"
+        named.write_text((DATA / "labels" / "000002.txt").read_text())
+        assert run("labelgen", "--labels", named,
+                   "--calib", DATA / "calib" / "000002.txt", "--out", out) == 0
+        assert [r["frame"] for r in read_jsonl(out)] == ["drive_7", "drive_7"]
+
+    def test_csv_mirror_zero_records(self, tmp_path):
+        labels, out, mirror = tmp_path / "000001.txt", tmp_path / "gt.jsonl", tmp_path / "gt.csv"
+        labels.write_text("DontCare -1 -1 -10 503.89 169.71 590.61 190.13 -1 -1 -1 -1000 -1000 -1000 -10\n")
+        assert run("labelgen", "--labels", labels, "--calib", DATA / "calib" / "000001.txt",
+                   "--out", out, "--csv-out", mirror) == 0
+        assert out.read_bytes() == b""
+        assert mirror.read_text() == ",".join(LABELGEN_FIELDS) + "\n"
+
+    def test_records_without_frames_score_as_before(self, tmp_path):
+        gt_path, det_path, report = tmp_path / "gt.jsonl", tmp_path / "d.jsonl", tmp_path / "r.json"
+        assert run("labelgen", "--labels", DATA / "labels", "--calib", DATA / "calib",
+                   "--out", gt_path) == 0
+        records = read_jsonl(gt_path)
+        for rec in records:
+            del rec["frame"]
+        write_jsonl(gt_path, records)
+        dets = [
+            {**{f: rec[f] + k * (f in ("bbox_left", "bbox_right")) for f in BBOX_FIELDS},
+             "confidence": (0.9, 0.9, 0.7, 0.5, 0.5, 0.3)[k], "d_est": rec["z"] * (1.0 + 0.03 * k),
+             "gamma_est": rec["gamma"]}
+            for k, rec in enumerate(records)
+        ]
+        dets.append({**dets[0], "d_est": records[0]["z"] * 1.2})  # a duplicate at the top confidence
+        write_jsonl(det_path, dets)
+        assert run("eval-arde", "--detections", det_path, "--ground-truth", gt_path,
+                   "--out", report, "--bin-edges-deg=-40,0,40") == 0
+        assert report.read_bytes() == REPORT_WITHOUT_FRAMES
 
 
 def unit_box_fields(x, y, size=10.0):
@@ -257,6 +386,22 @@ class TestEvalArde:
         assert bins[0]["gamma_min"] == pytest.approx(math.radians(-60))
         assert bins[0]["n_ground_truth"] == 1 and bins[1]["n_ground_truth"] == 2
         assert all(b["arde"] is not None for b in bins)
+
+    def test_two_frame_trap_matches_within_frames(self, tmp_path):
+        det_path, gt_path = write_two_frame_trap(tmp_path)
+        report_path = tmp_path / "report.json"
+        assert run("eval-arde", "--detections", det_path, "--ground-truth", gt_path,
+                   "--out", report_path, "--bin-edges-deg=-40,0,40") == 0
+        report = json.loads(report_path.read_text())
+        assert report["arde"] == 0.0  # pooled, the frame-1 detection takes A: 50 % error
+        assert report["bins"][0]["arde"] == 0.0 and report["bins"][0]["n_detections"] == 2
+
+    def test_bad_frame_exit_3(self, tmp_path, capsys):
+        det_path, gt_path = self.write_inputs(tmp_path)
+        write_jsonl(det_path, [{**self.DETS[0], "frame": 1.5}])
+        assert run("eval-arde", "--detections", det_path, "--ground-truth", gt_path,
+                   "--out", tmp_path / "r.json") == 3
+        assert "detection 0: frame must be" in capsys.readouterr().err
 
     def test_empty_ground_truth_exit_2(self, tmp_path):
         det_path, _ = self.write_inputs(tmp_path)
@@ -406,3 +551,26 @@ class TestBenchTracer:
             capture_output=True, text=True,
         )
         assert proc.returncode == 0, proc.stderr
+
+    def test_traced_eval_arde_counts_per_frame(self, tmp_path):
+        # The per-layer metrics of the benchmark's traced run: true positives
+        # of the overall matching, calls of the matcher and of iou_2d.
+        det_path, gt_path = write_two_frame_trap(tmp_path)
+        code = (
+            "import json, sys; sys.path[:0] = [sys.argv[1], sys.argv[2]]; "
+            "import keyedge, keyedge.cli, tracing; tracer = tracing.install(keyedge); "
+            "rc = tracer.run(tracing.ROOT, keyedge.cli.main, (sys.argv[3:],), {}); "
+            "print(json.dumps({'rc': rc, **tracer.report()}))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(REPO / "src"), str(REPO / "bench"),
+             "eval-arde", "--detections", str(det_path), "--ground-truth", str(gt_path),
+             "--out", str(tmp_path / "r.json"), "--bin-edges-deg=-40,0,40"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        trace = json.loads(proc.stdout.splitlines()[-1])
+        assert trace["rc"] == 0
+        assert trace["counts"]["metrics.true_positives"] == 1  # 2 when pooled
+        assert trace["calls"]["metrics.match_detections"] <= 2
+        assert trace["counts"]["metrics.iou_2d"] > 0

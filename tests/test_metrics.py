@@ -1,6 +1,7 @@
 """ARDE, IoU matching, and the recall sweep against an exhaustive oracle."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -60,10 +61,62 @@ def random_scene(rng, n_gts=None, n_dets=None, max_dets=12):
     return dets, gts
 
 
+def random_frames(rng, n_frames):
+    """random_scene drawn once per frame over the same pixel area.
+
+    A third of the detections move to a random frame, so they sit on
+    another frame's boxes.  Coordinates lie on a 1/64 px grid, which keeps
+    IoU bit-identical when a frame is shifted by whole pixels.
+    """
+    dets, gts = [], []
+    for frame in range(n_frames):
+        f_dets, f_gts = random_scene(rng)
+        gts += [replace(g, bbox2d=snap(g.bbox2d), frame=frame) for g in f_gts]
+        for d in f_dets:
+            moved = int(rng.integers(0, n_frames)) if rng.uniform() < 1 / 3 else frame
+            gamma_est = float(rng.uniform(-0.8, 0.8)) if rng.uniform() < 0.5 else None
+            dets.append(replace(d, bbox2d=snap(d.bbox2d), frame=moved, gamma_est=gamma_est))
+    return dets, gts
+
+
+def snap(bbox):
+    return tuple(round(v * 64.0) / 64.0 for v in bbox)
+
+
 def as_oracle_inputs(dets, gts):
-    o_dets = [(d.bbox2d, d.confidence, d.d_est) for d in dets]
-    o_gts = [(g.bbox2d, g.d_gt) for g in gts]
+    o_dets = [(d.bbox2d, d.confidence, d.d_est, d.frame) for d in dets]
+    o_gts = [(g.bbox2d, g.d_gt, g.frame) for g in gts]
     return o_dets, o_gts
+
+
+def oracle_bin_ardes(dets, gts, iou_min, edges):
+    """brute_force_arde rerun on each viewing-angle bin's share of the records."""
+    def bin_of(gamma):
+        if gamma is None:
+            return None
+        return next((k for k in range(len(edges) - 1) if edges[k] <= gamma < edges[k + 1]), None)
+
+    gt_bins = [bin_of(g.gamma_gt) for g in gts]
+    det_bins = {
+        r.det_index: gt_bins[r.gt_index] if r.gt_index is not None else bin_of(dets[r.det_index].gamma_est)
+        for r in match_detections(dets, gts, iou_min)
+    }
+    values = []
+    for idx in range(len(edges) - 1):
+        sub_gts = [g for g, b in zip(gts, gt_bins) if b == idx]
+        sub_dets = [d for i, d in enumerate(dets) if det_bins[i] == idx]
+        values.append(
+            brute_force_arde(*as_oracle_inputs(sub_dets, sub_gts), iou_min=iou_min) if sub_gts else None
+        )
+    return values
+
+
+def assert_bins_match_oracle(bins, dets, gts, iou_min, edges):
+    for b, want in zip(bins, oracle_bin_ardes(dets, gts, iou_min, edges), strict=True):
+        if want is None:
+            assert b.arde is None
+        else:
+            assert b.arde == pytest.approx(want, abs=1e-12)
 
 
 class TestIou:
@@ -224,26 +277,33 @@ class TestArdeByViewingAngle:
         dets, gts = random_scene(rng, n_gts=4, n_dets=10)
         edges = [-0.7, 0.0, 0.7]
         bins = arde_by_viewing_angle(dets, gts, 0.5, edges)
-        # reproduce the bin assignment independently, then run the oracle
-        results = match_detections(dets, gts, 0.5)
-        def bin_of(gamma):
-            if gamma is None or gamma < edges[0] or gamma >= edges[-1]:
-                return None
-            return 0 if gamma < edges[1] else 1
-        gt_bins = [bin_of(g.gamma_gt) for g in gts]
-        for idx, b in enumerate(bins):
-            sub_gts = [g for g, bi in zip(gts, gt_bins) if bi == idx]
-            sub_dets = []
-            for r in results:
-                d = dets[r.det_index]
-                bi = gt_bins[r.gt_index] if r.gt_index is not None else bin_of(d.gamma_est)
-                if bi == idx:
-                    sub_dets.append(d)
-            if not sub_gts:
-                assert b.arde is None
-                continue
-            want = brute_force_arde(*as_oracle_inputs(sub_dets, sub_gts), iou_min=0.5)
-            assert b.arde == pytest.approx(want, abs=1e-12)
+        assert_bins_match_oracle(bins, dets, gts, 0.5, edges)
+
+
+class TestFrames:
+    def test_detection_only_claims_its_own_frame(self):
+        # the frame-1 detection sits on frame 0's box and overlaps frame 1's by 0.82
+        gts = [gt(unit_box(0, 0), 10.0), replace(gt(unit_box(1, 0), 15.0), frame=1)]
+        (row,) = match_detections([replace(det(unit_box(0, 0), 0.9, 15.0), frame=1)], gts, 0.7)
+        assert row.gt_index == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4))
+    def test_per_frame_equals_pooled_frames_pushed_apart(self, seed, n_frames):
+        rng = np.random.default_rng(seed)
+        dets, gts = random_frames(rng, n_frames)
+
+        def apart(rec):
+            left, top, right, bottom = rec.bbox2d
+            shift = 1024.0 * rec.frame  # wider than any frame's boxes
+            return replace(rec, bbox2d=(left + shift, top, right + shift, bottom), frame=None)
+
+        pooled_dets, pooled_gts = [apart(d) for d in dets], [apart(g) for g in gts]
+        assert arde(dets, gts, 0.5) == arde(pooled_dets, pooled_gts, 0.5)
+        edges = [-0.7, 0.0, 0.7]
+        bins = arde_by_viewing_angle(dets, gts, 0.5, edges)
+        assert bins == arde_by_viewing_angle(pooled_dets, pooled_gts, 0.5, edges)
+        assert_bins_match_oracle(bins, dets, gts, 0.5, edges)
 
 
 class TestRecordValidation:
@@ -254,3 +314,10 @@ class TestRecordValidation:
     def test_gt_depth(self):
         with pytest.raises(ValueError):
             GroundTruthRecord(bbox2d=(0, 0, 10, 10), d_gt=0.0, gamma_gt=0.0)
+
+    @pytest.mark.parametrize("frame", [1.0, True, [1], (1,)])
+    def test_frame_type(self, frame):
+        with pytest.raises(ValueError, match="frame must be"):
+            DetectionRecord(bbox2d=(0, 0, 10, 10), confidence=0.5, d_est=10.0, frame=frame)
+        with pytest.raises(ValueError, match="frame must be"):
+            GroundTruthRecord(bbox2d=(0, 0, 10, 10), d_gt=10.0, gamma_gt=0.0, frame=frame)
