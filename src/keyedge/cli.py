@@ -40,6 +40,7 @@ from .dataio import (
     ParseError,
     SceneConfig,
     generate_scene,
+    iter_jsonl,
     labels_to_ground_truth,
     object_record,
     parse_calib,
@@ -47,8 +48,9 @@ from .dataio import (
     perturb_heights,
     ratio_sigmas,
     read_jsonl,
-    record_ratio_sigmas,
-    record_tuples,
+    record_number,
+    record_ratios,
+    record_sigmas,
     sigma_effective,
     write_csv,
     write_jsonl,
@@ -59,8 +61,8 @@ from .geometry import (
     NonPositiveDepth,
     ZeroHeight,
     keyedge_ratios,
-    normalize_angle,
     project_keyedges,
+    wrap_turn,
 )
 from .indexing import DegenerateObservation
 from .metrics import (
@@ -72,12 +74,12 @@ from .metrics import (
     arde_by_viewing_angle,
 )
 from .recovery import (
+    UNOBSERVABLE,
     AllDegenerate,
-    InvalidDims,
-    NonPositiveResult,
     UnobservableDistortion,
+    check_dims,
 )
-from .uncertainty import NonPositiveSigma, fuse_tuples
+from .uncertainty import NonPositiveSigma, check_row, solve_batch
 
 THETA_FUSION_RULE = "weighted_circular_mean"
 
@@ -107,20 +109,10 @@ SENSITIVITY_FIELDS = (
 DEGENERACY_ERRORS = (
     UnobservableDistortion,
     AllDegenerate,
-    NonPositiveResult,
     NonPositiveDepth,
     ZeroHeight,
     DegenerateObservation,
     NonPositiveSigma,
-)
-
-# Errors that count a sensitivity trial as failed; any other error ends the run.
-_TRIAL_ERRORS = (
-    UnobservableDistortion,
-    AllDegenerate,
-    NonPositiveResult,
-    NonPositiveSigma,
-    ZeroHeight,
 )
 
 # First match wins.
@@ -272,15 +264,18 @@ def _check_paths(args: argparse.Namespace, inputs=()) -> None:
             raise FileNotFoundError(f"{flag}: no such directory: {parent}")
 
 
-def _write_records(args: argparse.Namespace, records: list[dict], fields, verb: str) -> None:
+def _write_records(args: argparse.Namespace, rows, fields, verb: str) -> None:
     """JSON-lines to --out and, if given, a CSV mirror to --csv-out.
 
-    fields is the command's schema, the CSV header when there are no records.
+    rows() returns the records afresh for each file, so solve can stream
+    them.  The CSV header is the first record's keys, or fields, the
+    command's schema, when there are no records.
     """
-    write_jsonl(args.out, records)
+    count = write_jsonl(args.out, rows())
     if args.csv_out:
-        write_csv(args.csv_out, records, fields=list(records[0]) if records else fields)
-    print(f"{verb} {len(records)} records to {args.out}")
+        first = next(iter(rows()), None)
+        write_csv(args.csv_out, rows(), fields=list(first) if first else fields)
+    print(f"{verb} {count} records to {args.out}")
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +302,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
             sigmas = ratio_sigmas(obs, noise)
         records.append(object_record(i, args.class_name, pose, intr, obs, sigmas=sigmas))
     fields = RECORD_FIELDS if sigma_effective(noise) else PLAIN_FIELDS
-    _write_records(args, records, fields, "wrote")
+    _write_records(args, lambda: records, fields, "wrote")
     return 0
 
 
@@ -334,7 +329,10 @@ def _cmd_labelgen(args: argparse.Namespace) -> int:
     _check_paths(args, (("--labels", args.labels), ("--calib", args.calib)))
     records = []
     for label_file, calib_file in _label_calib_pairs(args.labels, args.calib):
-        intr = parse_calib(calib_file.read_text(encoding="utf-8"))
+        try:
+            intr = parse_calib(calib_file.read_text(encoding="utf-8"))
+        except ParseError as err:  # NonPositiveFocal included
+            raise ParseError(f"{calib_file}: {err}") from None
         try:
             labels = parse_label_file(label_file.read_text(encoding="utf-8"))
             if args.skip_hard:
@@ -347,53 +345,59 @@ def _cmd_labelgen(args: argparse.Namespace) -> int:
             rec = object_record(len(records), gt.label.class_name, gt.pose, intr, gt.observation)
             rec["frame"] = frame
             records.append(rec)
-    _write_records(args, records, LABELGEN_FIELDS, "wrote")
+    _write_records(args, lambda: records, LABELGEN_FIELDS, "wrote")
     return 0
 
 
-def _solve_record(rec: dict) -> dict:
-    try:
-        tuples = record_tuples(rec)
-        per_ref = record_ratio_sigmas(rec)
-        length = float(rec["length"])
-        width = float(rec["width"])
-    except KeyError as err:
-        raise ParseError(f"record missing field {err.args[0]!r}") from None
-    except (TypeError, ValueError) as err:
-        raise ParseError(f"bad record value: {err}") from None
-    try:
-        fused, skipped = fuse_tuples(tuples, per_ref, length, width)
-    except InvalidDims as err:
-        raise ParseError(f"bad record value: {err}") from None
+def _solve_columns(records) -> tuple[list[dict], tuple]:
+    """solve_batch's columns from solve's records, each checked in turn.
 
-    out = {"index": rec.get("index"), "class_name": rec.get("class_name", "")}
-    if "z" in rec:
-        out["z"] = rec["z"]  # ground truth echoed through for evaluation
-    out["length"] = length
-    out["width"] = width
-    out["d_fusion"] = fused.d_fusion
-    out["theta_fusion"] = fused.theta_fusion
-    out["theta_fusion_rule"] = THETA_FUSION_RULE
-    by_ref = {
-        est.reference: (est.theta, est.d_obj, sigma_d, weight)
-        for est, sigma_d, weight in fused.per_tuple
-    }
-    for ref in KEYEDGES:
-        values = by_ref.get(ref, (None,) * len(PER_TUPLE_FIELDS))
-        out.update((f"{name}_{ref}", v) for name, v in zip(PER_TUPLE_FIELDS, values))
-    out["skipped"] = ";".join(f"{ref}:{reason}" for ref, reason in skipped)
-    return out
+    Returns the fields each output row echoes and the columns (R, S, L, W);
+    S holds NaN for a record without sigma fields.
+    """
+    heads, ratios, sigmas = [], [], []
+    for pos, rec in enumerate(records):
+        try:
+            ratios.append(record_ratios(rec))
+            sigmas.append(record_sigmas(rec) or [math.nan] * 4)
+            dims = {key: record_number(rec, key) for key in ("length", "width")}
+            check_dims(**dims)
+        except KeyError as err:
+            raise ParseError(f"record {pos} (index {rec.get('index')}): "
+                             f"record missing field {err.args[0]!r}") from None
+        except ValueError as err:
+            raise ParseError(f"record {pos} (index {rec.get('index')}): bad record value: {err}") from None
+        head = {"index": rec.get("index"), "class_name": rec.get("class_name", "")}
+        if "z" in rec:
+            head["z"] = rec["z"]  # ground truth echoed through for evaluation
+        heads.append({**head, **dims})
+    lengths, widths = ([head[key] for head in heads] for key in ("length", "width"))
+    return heads, (np.reshape(ratios, (-1, 4)), np.reshape(sigmas, (-1, 4)), lengths, widths)
+
+
+def _solved_rows(heads: list[dict], batch):
+    """solve's output rows, one per record, from the kernel's arrays."""
+    per_tuple = np.stack([batch.pose.theta, batch.pose.d_obj, batch.sigma_d, batch.weight], axis=2)
+    fused = zip(batch.d_fusion.tolist(), batch.theta_fusion.tolist(), batch.pose.observable.tolist())
+    for head, (d_fusion, theta_fusion, observable), values in zip(heads, fused, per_tuple):
+        row = {**head, "d_fusion": d_fusion, "theta_fusion": theta_fusion,
+               "theta_fusion_rule": THETA_FUSION_RULE}
+        for ref, ok, tuple_values in zip(KEYEDGES, observable, values.tolist()):
+            row.update((f"{name}_{ref}", v if ok else None) for name, v in zip(PER_TUPLE_FIELDS, tuple_values))
+        row["skipped"] = ";".join(f"{ref}:{UNOBSERVABLE}" for ref, ok in zip(KEYEDGES, observable) if not ok)
+        yield row
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     _check_paths(args, (("--in", args.input_path),))
-    outputs = []
-    for pos, rec in enumerate(read_jsonl(args.input_path)):
+    heads, columns = _solve_columns(iter_jsonl(args.input_path))
+    batch = solve_batch(*columns)
+    for row in np.flatnonzero(batch.failed)[:1].tolist():
         try:
-            outputs.append(_solve_record(rec))
-        except (ParseError, *DEGENERACY_ERRORS) as err:
-            raise type(err)(f"record {pos} (index {rec.get('index')}): {err}") from None
-    _write_records(args, outputs, SOLVE_FIELDS, "solved")
+            check_row(batch, row)
+        except DEGENERACY_ERRORS as err:
+            raise type(err)(f"record {row} (index {heads[row]['index']}): {err}") from None
+    _write_records(args, lambda: _solved_rows(heads, batch), SOLVE_FIELDS, "solved")
     return 0
 
 
@@ -406,7 +410,7 @@ def _read_boxes(path: Path, kind: str, make) -> list:
     boxes = []
     for pos, rec in enumerate(read_jsonl(path)):
         try:
-            bbox = tuple(float(rec[f"bbox_{side}"]) for side in ("left", "top", "right", "bottom"))
+            bbox = tuple(record_number(rec, f"bbox_{side}") for side in ("left", "top", "right", "bottom"))
             boxes.append(make(rec, bbox))
         except KeyError as err:
             raise ParseError(f"{kind} {pos}: missing field {err.args[0]!r}") from None
@@ -416,19 +420,19 @@ def _read_boxes(path: Path, kind: str, make) -> list:
 
 
 def _detection(rec: dict, bbox: tuple) -> DetectionRecord:
-    gamma_est = rec.get("gamma_est")
     return DetectionRecord(
         bbox2d=bbox,
-        confidence=float(rec["confidence"]),
-        d_est=float(rec["d_est"]),
-        gamma_est=None if gamma_est is None else float(gamma_est),
+        confidence=record_number(rec, "confidence"),
+        d_est=record_number(rec, "d_est"),
+        gamma_est=None if rec.get("gamma_est") is None else record_number(rec, "gamma_est"),
         frame=rec.get("frame"),
     )
 
 
 def _ground_truth(rec: dict, bbox: tuple) -> GroundTruthRecord:
     return GroundTruthRecord(
-        bbox2d=bbox, d_gt=float(rec["z"]), gamma_gt=float(rec["gamma"]), frame=rec.get("frame")
+        bbox2d=bbox, d_gt=record_number(rec, "z"), gamma_gt=record_number(rec, "gamma"),
+        frame=rec.get("frame"),
     )
 
 
@@ -465,27 +469,31 @@ def _cmd_eval_arde(args: argparse.Namespace) -> int:
 
 
 def _trial_errors(scene: SceneConfig, intr: CameraIntrinsics, noise: NoiseModel, noise_rng) -> tuple:
-    """n_failed, then mean and median of relative depth error and of absolute yaw error."""
-    rel_depth, abs_yaw = [], []
-    n_failed = 0
-    for pose in generate_scene(scene):
+    """n_failed, then mean and median of relative depth error and of absolute yaw error.
+
+    Each pose is drawn, projected and perturbed into a solve record in turn;
+    one solve_batch call then solves them all.  A trial fails where it fuses
+    nothing.
+    """
+    poses = generate_scene(scene)
+    records = []
+    for pose in poses:
         obs = perturb_heights(project_keyedges(pose, intr), noise, noise_rng)
-        try:
-            rec = {**keyedge_ratios(obs), **(ratio_sigmas(obs, noise) or {})}
-            fused, _ = fuse_tuples(record_tuples(rec), record_ratio_sigmas(rec), pose.length, pose.width)
-        except _TRIAL_ERRORS:
-            n_failed += 1
-            continue
-        rel_depth.append(abs(fused.d_fusion - pose.z) / pose.z)
-        abs_yaw.append(abs(normalize_angle(fused.theta_fusion - pose.yaw)))
+        sigmas = ratio_sigmas(obs, noise) or {}
+        records.append({**keyedge_ratios(obs), **sigmas, "length": pose.length, "width": pose.width})
+    _, columns = _solve_columns(records)
+    batch = solve_batch(*columns)
+    z, yaw = (np.array([getattr(pose, name) for pose in poses]) for name in ("z", "yaw"))
+    ok = ~batch.failed
+    rel_depth = (abs(batch.d_fusion - z) / z)[ok]
+    abs_yaw = abs(wrap_turn(batch.theta_fusion - yaw))[ok]
 
     def stats(values):
-        if not values:
+        if not len(values):
             return None, None
-        arr = np.asarray(values)
-        return float(arr.mean()), float(np.median(arr))
+        return float(values.mean()), float(np.median(values))
 
-    return (n_failed, *stats(rel_depth), *stats(abs_yaw))
+    return (int(batch.failed.sum()), *stats(rel_depth), *stats(abs_yaw))
 
 
 def _cmd_sensitivity(args: argparse.Namespace) -> int:

@@ -42,7 +42,7 @@ from .geometry import (
     project_keyedges,
     viewing_angle,
 )
-from .indexing import RatioTuple, allocentric_group, object_centric_tuples
+from .indexing import RatioTuple, allocentric_group, object_centric_tuples, reference_pairs
 
 # Flat record schema; the four sigma fields appear only when noise is active.
 RECORD_FIELDS = (
@@ -73,7 +73,7 @@ class ParseError(ValueError):
         self.field = field
 
 
-class NonPositiveFocal(ValueError):
+class NonPositiveFocal(ParseError):
     """Calibration carries a non-positive focal length."""
 
 
@@ -176,7 +176,7 @@ def parse_calib(text: str) -> CameraIntrinsics:
         values = [_numeric(scalars, i, float, "P2 entry", line_no) for i in range(12)]
         focal = values[0]
         if not focal > 0.0:
-            raise NonPositiveFocal(f"P2[0,0] = {focal}")
+            raise NonPositiveFocal(f"P2[0,0] = {focal}", line=line_no)
         return CameraIntrinsics(focal_length=focal, principal_point=(values[2], values[6]))
     raise ParseError("no P2 row found")
 
@@ -263,15 +263,10 @@ def min_tuple_distortion(pose: BoxPose3D) -> float:
     Requires every keyedge in front of the camera.
     """
     corners, _ = keyedge_positions(pose)
-    depth = {k: corners[k][2] for k in KEYEDGES}
-    ratios = {
-        "r_ab": depth["b"] / depth["a"],
-        "r_bc": depth["c"] / depth["b"],
-        "r_cd": depth["d"] / depth["c"],
-        "r_da": depth["a"] / depth["d"],
-    }
-    tuples = object_centric_tuples(ratios)
-    return min(max(abs(t.r1 - 1.0), abs(t.r2 - 1.0)) for t in tuples)
+    depth = [corners[k][2] for k in KEYEDGES]
+    # the stored ratios r_ab, r_bc, r_cd, r_da; r_pq = d_q / d_p
+    pairs, _ = reference_pairs([depth[(i + 1) % 4] / depth[i] for i in range(4)])
+    return min(max(abs(r1 - 1.0), abs(r2 - 1.0)) for r1, r2 in pairs)
 
 
 def generate_scene(cfg: SceneConfig) -> list[BoxPose3D]:
@@ -453,13 +448,40 @@ def object_record(
     return rec
 
 
-def record_tuples(record: dict) -> tuple[RatioTuple, ...]:
-    """Canonical tuples from a record's four stored ratios, each finite and positive."""
-    ratios = {key: float(record[key]) for key in RATIO_KEYS}
-    for key, r in ratios.items():
+def record_number(record: dict, key: str) -> float:
+    """record[key] as a float; a JSON value that is not a number is a ParseError."""
+    value = record[key]
+    if type(value) not in (int, float):
+        raise ParseError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
+def record_ratios(record: dict) -> list[float]:
+    """A record's four stored ratios in RATIO_KEYS order, each finite and positive."""
+    ratios = [record_number(record, key) for key in RATIO_KEYS]
+    for key, r in zip(RATIO_KEYS, ratios):
         if not (math.isfinite(r) and r > 0.0):
             raise ParseError(f"{key} must be finite and positive, got {r!r}")
-    return object_centric_tuples(ratios)
+    return ratios
+
+
+def record_sigmas(record: dict) -> list[float] | None:
+    """A record's four ratio sigmas in SIGMA_KEYS order, each finite and nonnegative.
+
+    Returns None when the record carries no sigma fields.
+    """
+    if SIGMA_KEYS[0] not in record:
+        return None
+    sigmas = [record_number(record, key) for key in SIGMA_KEYS]
+    for key, s in zip(SIGMA_KEYS, sigmas):
+        if not (math.isfinite(s) and s >= 0.0):
+            raise ParseError(f"{key} must be finite and nonnegative, got {s!r}")
+    return sigmas
+
+
+def record_tuples(record: dict) -> tuple[RatioTuple, ...]:
+    """Canonical tuples from a record's four stored ratios."""
+    return object_centric_tuples(dict(zip(RATIO_KEYS, record_ratios(record))))
 
 
 def record_ratio_sigmas(record: dict) -> dict[str, tuple[float, float]] | None:
@@ -469,34 +491,25 @@ def record_ratio_sigmas(record: dict) -> dict[str, tuple[float, float]] | None:
     as sigma(1/r) = sigma(r) / r^2.  Returns None when the record carries
     no sigma fields.
     """
-    if SIGMA_KEYS[0] not in record:
+    sigmas = record_sigmas(record)
+    if sigmas is None:
         return None
-    directed = {}
-    for key in RATIO_KEYS:
-        p, q = key[2], key[3]
-        r = float(record[key])
-        s = float(record["sigma_" + key[2:]])
-        if not (math.isfinite(s) and s >= 0.0):
-            raise ParseError(f"sigma_{key[2:]} must be finite and nonnegative, got {s!r}")
-        directed[(p, q)] = s
-        directed[(q, p)] = s / (r * r)
-    return {
-        "a": (directed[("a", "d")], directed[("a", "b")]),
-        "b": (directed[("b", "a")], directed[("b", "c")]),
-        "c": (directed[("c", "b")], directed[("c", "d")]),
-        "d": (directed[("d", "c")], directed[("d", "a")]),
-    }
+    _, pairs = reference_pairs(record_ratios(record), sigmas)
+    return dict(zip(KEYEDGES, pairs))
 
 
-def write_jsonl(path, records) -> None:
-    """One JSON object per line, UTF-8, LF terminated."""
+def write_jsonl(path, records) -> int:
+    """One JSON object per line, UTF-8, LF terminated; returns the number written."""
+    count = 0
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for rec in records:
             fh.write(json.dumps(rec) + "\n")
+            count += 1
+    return count
 
 
-def read_jsonl(path) -> list[dict]:
-    records = []
+def iter_jsonl(path):
+    """The objects of a JSON-lines file, one at a time; blank lines are skipped."""
     with open(path, encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -508,8 +521,11 @@ def read_jsonl(path) -> list[dict]:
                 raise ParseError(f"invalid JSON: {err.msg}", line=line_no) from None
             if not isinstance(rec, dict):
                 raise ParseError("expected a JSON object", line=line_no)
-            records.append(rec)
-    return records
+            yield rec
+
+
+def read_jsonl(path) -> list[dict]:
+    return list(iter_jsonl(path))
 
 
 def write_csv(path, records, fields=None) -> None:

@@ -66,6 +66,11 @@ def normalize_angle(angle: float) -> float:
     return wrapped if wrapped < math.pi else -math.pi
 
 
+def wrap_turn(angle):
+    """Wrap an angle, a float or a numpy array, in [-3*pi, 3*pi) to [-pi, pi), exactly."""
+    return angle - TWO_PI * (angle >= math.pi) + TWO_PI * (angle < -math.pi)
+
+
 @dataclass(frozen=True)
 class CameraIntrinsics:
     """Pinhole intrinsics: focal length and principal point, in pixels.

@@ -43,7 +43,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
-from .geometry import KEYEDGES, KeyedgeObservation, ZeroHeight, normalize_angle
+from .geometry import KEYEDGES, RATIO_KEYS, KeyedgeObservation, ZeroHeight, normalize_angle
 
 # Nearest keyedge letter for each allocentric group.
 NEAREST_BY_GROUP = ("d", "c", "b", "a")
@@ -155,22 +155,28 @@ def camera_centric_view(obs: KeyedgeObservation) -> CameraCentricRatios:
     )
 
 
+def reference_pairs(ratios, sigmas=None):
+    """Per-reference (r1, r2) pairs, and their sigmas, from the four stored ratios.
+
+    ratios and sigmas follow RATIO_KEYS order (r_ab, r_bc, r_cd, r_da); each
+    entry is a float or a numpy column, since the arithmetic is plain.
+    Reference i of a..d pairs r1 = r_{i,i-1} = 1 / r_{i-1,i} with
+    r2 = r_{i,i+1}.  A reversed ratio's first-order sigma is sigma / r^2.
+    Returns (ratio pairs, sigma pairs), the second None without sigmas.
+    """
+    ratio_pairs = tuple((1.0 / ratios[i - 1], ratios[i]) for i in range(4))
+    if sigmas is None:
+        return ratio_pairs, None
+    sigma_pairs = tuple(
+        (sigmas[i - 1] / (ratios[i - 1] * ratios[i - 1]), sigmas[i]) for i in range(4)
+    )
+    return ratio_pairs, sigma_pairs
+
+
 def object_centric_tuples(ratios: Mapping[str, float]) -> tuple[RatioTuple, ...]:
     """Build the four canonical tuples from {r_ab, r_bc, r_cd, r_da}."""
-    directed = {
-        ("a", "b"): ratios["r_ab"],
-        ("b", "c"): ratios["r_bc"],
-        ("c", "d"): ratios["r_cd"],
-        ("d", "a"): ratios["r_da"],
-    }
-    for (p, q), v in list(directed.items()):
-        directed[(q, p)] = 1.0 / v
-    return (
-        RatioTuple("a", directed[("a", "d")], directed[("a", "b")]),
-        RatioTuple("b", directed[("b", "a")], directed[("b", "c")]),
-        RatioTuple("c", directed[("c", "b")], directed[("c", "d")]),
-        RatioTuple("d", directed[("d", "c")], directed[("d", "a")]),
-    )
+    pairs, _ = reference_pairs([ratios[key] for key in RATIO_KEYS])
+    return tuple(RatioTuple(ref, r1, r2) for ref, (r1, r2) in zip(KEYEDGES, pairs))
 
 
 def to_object_centric_tuples(cc: CameraCentricRatios) -> tuple[RatioTuple, ...]:

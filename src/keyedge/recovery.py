@@ -1,30 +1,31 @@
-"""Closed-form recovery of yaw and depth from one keyedge-ratio tuple.
+"""Closed-form recovery of yaw and depth from keyedge-ratio tuples.
 
-Writing e1 = r1 - 1 and e2 = r2 - 1, each reference keyedge has a
-placeholder row (Rtheta_w, Rtheta_l, Rd_w, Rd_l) that rearranges and signs
-(e1, e2) so that a single pair of formulas inverts every tuple:
+A tuple (reference, r1, r2) holds the height ratios of a reference keyedge
+to its two neighbours, r1 toward the previous letter and r2 toward the
+next: (a, r_ad, r_ab), (b, r_ba, r_bc), (c, r_cb, r_cd), (d, r_dc, r_da).
+Since r_pq = d_q / d_p, reference b reads the geometry relations
+d_a = d_b + w cos(theta) and d_c = d_b + l sin(theta) directly:
+e1 = r1 - 1 = w cos(theta) / d_b and e2 = r2 - 1 = l sin(theta) / d_b.
+Every other reference sees the same relations on the box turned by a
+quarter turn per letter, which swaps length and width and shifts the yaw
+by pi/2.  So with (k1, k2) = (length, width) for references a and c,
+(width, length) for b and d, and i = 0..3 the position of the reference
+in a..d, one set of formulas inverts every tuple:
 
-    theta = atan2(width * Rtheta_w, length * Rtheta_l)
-    d_ref = (Rd_w^2 / width^2 + Rd_l^2 / length^2) ** -0.5
+    theta = atan2(k1 * e2, k2 * e1) + (1 - i) * pi / 2,  wrapped to [-pi, pi)
+    d_ref = (e1^2 / k1^2 + e2^2 / k2^2) ** -0.5
+    d_obj = d_ref * (r1 + r2) / 2
 
-        reference   Rtheta_w  Rtheta_l  Rd_w  Rd_l
-        a            e1       -e2        e2    e1
-        b            e2        e1        e1    e2
-        c           -e1        e2        e2    e1
-        d           -e2       -e1        e1    e2
+The two neighbours of a reference are opposite corners, so the center
+depth is their mean, which is the last line; it is positive for every
+pair of positive ratios.  Differentiating gives the partials that
+keyedge.uncertainty propagates into a depth sigma:
 
-The object-center depth adds half the signed offset delta_d between the
-reference keyedge and the center:
+    d(d_obj)/d(r_i) = d_ref / 2 - d_obj * d_ref^2 * e_i / k_i^2
 
-        a:  l sin(theta) - w cos(theta)
-        b:  l sin(theta) + w cos(theta)
-        c: -l sin(theta) + w cos(theta)
-        d: -l sin(theta) - w cos(theta)
-
-For any reference this composes to d_obj = d_ref * (1 + (e1 + e2) / 2)
-with d_ref = (e1^2/k1^2 + e2^2/k2^2)^(-1/2), where (k1, k2) is (w, l) for
-references b, d and (l, w) for references a, c; axis_scales exposes that
-pairing for the uncertainty propagation.
+invert() applies these formulas elementwise to numpy arrays, and it is the
+only place they are written.  solve_tuple, pose_estimate and solve_all are
+one-row views of it for RatioTuple inputs.
 
 No focal length appears anywhere here: the ratios already cancelled it.
 """
@@ -33,14 +34,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
-from .geometry import normalize_angle
+import numpy as np
+
+from .geometry import KEYEDGES, wrap_turn
 from .indexing import RatioTuple
 
 # Below this distortion a tuple pins no depth: d_ref would exceed roughly
 # 1e10 * min(length, width).
 DEGENERACY_TOL = 1e-10
+
+UNOBSERVABLE = "unobservable distortion"  # the reason a skipped tuple carries
 
 
 class UnobservableDistortion(ValueError):
@@ -51,23 +56,8 @@ class InvalidDims(ValueError):
     """A physical dimension is zero, negative, or not finite."""
 
 
-class NonPositiveResult(ValueError):
-    """The recovered center depth came out non-positive (inconsistent inputs)."""
-
-
 class AllDegenerate(ValueError):
     """Every tuple of an observation was unobservable."""
-
-
-@dataclass(frozen=True)
-class PlaceholderRow:
-    """Signed rearrangement of (e1, e2) for one reference keyedge."""
-
-    reference: str
-    rtheta_w: float
-    rtheta_l: float
-    rd_w: float
-    rd_l: float
 
 
 @dataclass(frozen=True)
@@ -80,86 +70,70 @@ class PoseEstimate:
     reference: str
 
 
-_ROW_SIGNS = {
-    # reference: ((sign, which) for Rtheta_w, Rtheta_l, Rd_w, Rd_l),
-    # where which selects e1 or e2
-    "a": ((1, 0), (-1, 1), (1, 1), (1, 0)),
-    "b": ((1, 1), (1, 0), (1, 0), (1, 1)),
-    "c": ((-1, 0), (1, 1), (1, 1), (1, 0)),
-    "d": ((-1, 1), (-1, 0), (1, 0), (1, 1)),
-}
+class Inversion(NamedTuple):
+    """invert()'s arrays, all of one shape; observable is False where a tuple pins no depth."""
+
+    theta: np.ndarray
+    d_ref: np.ndarray
+    d_obj: np.ndarray
+    p1: np.ndarray  # d(d_obj)/d(r1)
+    p2: np.ndarray  # d(d_obj)/d(r2)
+    observable: np.ndarray
 
 
-def placeholder_row(t: RatioTuple) -> PlaceholderRow:
-    """The (Rtheta_w, Rtheta_l, Rd_w, Rd_l) row for the tuple's reference."""
-    e = (t.r1 - 1.0, t.r2 - 1.0)
-    values = [sign * e[which] for sign, which in _ROW_SIGNS[t.reference]]
-    return PlaceholderRow(t.reference, *values)
-
-
-def _check_dims(length: float, width: float) -> None:
+def check_dims(length: float, width: float) -> None:
+    """Raise InvalidDims unless both dimensions are finite and positive."""
     for name, v in (("length", length), ("width", width)):
         if not (math.isfinite(v) and v > 0.0):
             raise InvalidDims(f"{name} must be positive, got {v}")
 
 
-def solve_tuple(t: RatioTuple, length: float, width: float) -> tuple[float, float]:
-    """Invert one tuple to (theta, d_ref).
+@np.errstate(divide="ignore", invalid="ignore")
+def invert(r1, r2, ref, length, width) -> Inversion:
+    """Invert tuples elementwise; the arguments broadcast together.
 
-    Negative distortions (r < 1) are taken as-is; they encode the viewing
-    side.  Raises UnobservableDistortion when both ratios sit within
-    DEGENERACY_TOL of 1.
+    ref holds each tuple's reference position, 0..3 for a..d.  Negative
+    distortions (r < 1) are taken as-is; they encode the viewing side.
     """
-    _check_dims(length, width)
-    if max(abs(t.r1 - 1.0), abs(t.r2 - 1.0)) < DEGENERACY_TOL:
+    e1, e2 = r1 - 1.0, r2 - 1.0
+    width_first = ref % 2 == 1  # references b and d
+    k1 = np.where(width_first, width, length)
+    k2 = np.where(width_first, length, width)
+    theta = wrap_turn(np.arctan2(k1 * e2, k2 * e1) + (1 - ref) * (math.pi / 2.0))
+    d_ref = 1.0 / np.sqrt((e1 / k1) ** 2 + (e2 / k2) ** 2)
+    d_obj = d_ref * (r1 + r2) / 2.0
+    p1 = 0.5 * d_ref - d_obj * d_ref * d_ref * e1 / (k1 * k1)
+    p2 = 0.5 * d_ref - d_obj * d_ref * d_ref * e2 / (k2 * k2)
+    return Inversion(theta, d_ref, d_obj, p1, p2, np.maximum(abs(e1), abs(e2)) >= DEGENERACY_TOL)
+
+
+def solve_row(tuples: Sequence[RatioTuple], length: float, width: float) -> Inversion:
+    """The tuples inverted as one row of shape (1, len(tuples))."""
+    check_dims(length, width)
+    r1, r2 = (np.array([[getattr(t, name) for t in tuples]], dtype=float) for name in ("r1", "r2"))
+    return invert(r1, r2, np.array([KEYEDGES.index(t.reference) for t in tuples]), length, width)
+
+
+def invert_tuple(t: RatioTuple, length: float, width: float) -> Inversion:
+    """One tuple as a one-element row; raises UnobservableDistortion when it pins no depth."""
+    inv = solve_row([t], length, width)
+    if not inv.observable[0, 0]:
         raise UnobservableDistortion(
             f"tuple {t.reference}: ratios {t.r1}, {t.r2} are indistinguishable from 1"
         )
-    row = placeholder_row(t)
-    theta = normalize_angle(math.atan2(width * row.rtheta_w, length * row.rtheta_l))
-    d_ref = 1.0 / math.sqrt((row.rd_w / width) ** 2 + (row.rd_l / length) ** 2)
-    return theta, d_ref
+    return inv
 
 
-def center_offset(reference: str, theta: float, length: float, width: float) -> float:
-    """Signed depth offset delta_d from the reference keyedge to the center."""
-    s = length * math.sin(theta)
-    c = width * math.cos(theta)
-    return {"a": s - c, "b": s + c, "c": -s + c, "d": -s - c}[reference]
-
-
-def center_depth(
-    theta: float, d_ref: float, reference: str, length: float, width: float
-) -> float:
-    """Object-center depth d_obj = d_ref + delta_d / 2."""
-    if d_ref <= 0.0:
-        raise ValueError(f"d_ref must be positive, got {d_ref}")
-    d_obj = d_ref + 0.5 * center_offset(reference, theta, length, width)
-    if d_obj <= 0.0:
-        raise NonPositiveResult(
-            f"reference {reference}: center depth {d_obj} from d_ref {d_ref}"
-        )
-    return d_obj
-
-
-def axis_scales(reference: str, length: float, width: float) -> tuple[float, float]:
-    """(k1, k2) pairing each ratio with its dimension in the unified depth form.
-
-    d_ref = (e1^2/k1^2 + e2^2/k2^2)^(-1/2); references b and d pair e1 with
-    the width, references a and c pair e1 with the length.
-    """
-    if reference in ("b", "d"):
-        return width, length
-    if reference in ("a", "c"):
-        return length, width
-    raise ValueError(f"unknown reference {reference!r}")
+def solve_tuple(t: RatioTuple, length: float, width: float) -> tuple[float, float]:
+    """Invert one tuple to (theta, d_ref)."""
+    inv = invert_tuple(t, length, width)
+    return inv.theta.item(), inv.d_ref.item()
 
 
 def pose_estimate(t: RatioTuple, length: float, width: float) -> PoseEstimate:
     """Full inversion of one tuple: theta, d_ref, and d_obj."""
-    theta, d_ref = solve_tuple(t, length, width)
-    d_obj = center_depth(theta, d_ref, t.reference, length, width)
-    return PoseEstimate(theta=theta, d_ref=d_ref, d_obj=d_obj, reference=t.reference)
+    inv = invert_tuple(t, length, width)
+    return PoseEstimate(inv.theta.item(), inv.d_ref.item(), inv.d_obj.item(), t.reference)
 
 
 def solve_all(
@@ -170,16 +144,16 @@ def solve_all(
     Returns (estimates, skipped) where skipped holds (reference, reason)
     pairs.  Raises AllDegenerate when nothing survives.
     """
-    _check_dims(length, width)
-    estimates: list[PoseEstimate] = []
-    skipped: list[tuple[str, str]] = []
-    for t in tuples:
-        try:
-            estimates.append(pose_estimate(t, length, width))
-        except UnobservableDistortion:
-            skipped.append((t.reference, "unobservable distortion"))
-        except NonPositiveResult:
-            skipped.append((t.reference, "non-positive center depth"))
+    tuples = list(tuples)
+    return row_estimates(tuples, solve_row(tuples, length, width))
+
+
+def row_estimates(tuples: Sequence[RatioTuple], inv: Inversion):
+    """solve_all's (estimates, skipped) from the tuples' solve_row inversion."""
+    columns = (a[0].tolist() for a in (inv.theta, inv.d_ref, inv.d_obj, inv.observable))
+    rows = list(zip(tuples, *columns))
+    estimates = [PoseEstimate(*values, t.reference) for t, *values, ok in rows if ok]
+    skipped = [(t.reference, UNOBSERVABLE) for t, *_, ok in rows if not ok]
     if not estimates:
-        raise AllDegenerate(f"no usable tuple among {[s[0] for s in skipped]}")
+        raise AllDegenerate(f"no usable tuple among {[ref for ref, _ in skipped]}")
     return estimates, skipped

@@ -1,15 +1,12 @@
-"""First-order sigma propagation, inverse-uncertainty fusion, and the loss.
+"""The solve-and-fuse kernel: sigma propagation, fusion, and the loss.
 
-Depth uncertainty comes from the closed form directly.  With e_i = r_i - 1
-and (k1, k2) from axis_scales, d_obj = d_ref * (1 + (e1 + e2) / 2) and
-d_ref = (e1^2/k1^2 + e2^2/k2^2)^(-1/2), so
-
-    d(d_obj)/d(r_i) = d_ref / 2 - d_obj * d_ref^2 * e_i / k_i^2
-
-which is what depth_partials returns; fuse_tuples evaluates it from the
-d_ref and d_obj that each tuple's inversion already holds, so each tuple
-is solved once.  No automatic differentiation is involved, and the result
-is checked against central finite differences in the tests.
+solve_batch runs four array stages over (N, 4) arrays, each quantity once:
+indexing.reference_pairs gives each reference's ratio and sigma pairs,
+recovery.invert gives theta, d_ref, d_obj and the closed-form partials of
+d_obj (checked against central finite differences in the tests),
+propagate_sigma gives each tuple's sigma_d, and the fuse stage gives the
+weights and the fused depth and yaw.  depth_partials, propagate_sigma,
+fuse and fuse_tuples are one-row views of the same stages.
 
 sigma_d sums |partial| * sigma per ratio.  Each term takes an absolute
 value so sigma_d is a nonnegative spread even when the partials carry
@@ -26,11 +23,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
+
+import numpy as np
 
 from . import recovery
-from .geometry import normalize_angle
-from .indexing import RatioTuple
+from .geometry import KEYEDGES, wrap_turn
+from .indexing import RatioTuple, reference_pairs
 from .recovery import PoseEstimate
 
 
@@ -43,20 +42,6 @@ class EmptyInput(ValueError):
 
 
 @dataclass(frozen=True)
-class RatioWithSigma:
-    """A ratio tuple with per-ratio uncertainties sigma1, sigma2 > 0."""
-
-    ratio_tuple: RatioTuple
-    sigma1: float
-    sigma2: float
-
-    def __post_init__(self):
-        for name, v in (("sigma1", self.sigma1), ("sigma2", self.sigma2)):
-            if not (math.isfinite(v) and v > 0.0):
-                raise NonPositiveSigma(f"{name} must be positive, got {v}")
-
-
-@dataclass(frozen=True)
 class FusedEstimate:
     """Fused depth and yaw plus the per-member records (estimate, sigma_d, weight)."""
 
@@ -65,30 +50,78 @@ class FusedEstimate:
     per_tuple: tuple[tuple[PoseEstimate, float, float], ...]
 
 
-def _partials(
-    t: RatioTuple, est: PoseEstimate, length: float, width: float
-) -> tuple[float, float]:
-    """(d d_obj / d r1, d d_obj / d r2) at the tuple's values, given its inversion."""
-    k1, k2 = recovery.axis_scales(t.reference, length, width)
-    e1, e2 = t.r1 - 1.0, t.r2 - 1.0
-    d_ref, d_obj = est.d_ref, est.d_obj
-    p1 = 0.5 * d_ref - d_obj * d_ref * d_ref * e1 / (k1 * k1)
-    p2 = 0.5 * d_ref - d_obj * d_ref * d_ref * e2 / (k2 * k2)
-    return p1, p2
+class Batch(NamedTuple):
+    """solve_batch's arrays, (N, 4) per tuple in a..d order and (N,) per record."""
+
+    pose: recovery.Inversion
+    sigma_d: np.ndarray
+    weight: np.ndarray
+    d_fusion: np.ndarray
+    theta_fusion: np.ndarray
+    failed: np.ndarray
+
+
+def _check_sigma_d(*values: float) -> None:
+    for sigma_d in values:
+        if not (math.isfinite(sigma_d) and sigma_d > 0.0):
+            raise NonPositiveSigma(f"sigma_d must be positive, got {sigma_d}")
+
+
+def _fuse(theta, d_obj, sigma_d, used):
+    """Weights, fused depth and fused yaw of each row of (N, M) members."""
+    raw = np.where(used, 1.0 / sigma_d, 0.0)
+    weight = raw / raw.sum(axis=1, keepdims=True)
+    d_fusion = (weight * np.where(used, d_obj, 0.0)).sum(axis=1)
+    theta = np.where(used, theta, 0.0)
+    sin_sum, cos_sum = ((weight * f(theta)).sum(axis=1) for f in (np.sin, np.cos))
+    return weight, d_fusion, wrap_turn(np.arctan2(sin_sum, cos_sum))
+
+
+@np.errstate(divide="ignore", invalid="ignore")
+def solve_batch(R, S, L, W) -> Batch:
+    """Solve and fuse the four tuples of each of N records.
+
+    R holds the stored ratios as (N, 4) in RATIO_KEYS order, each finite and
+    positive, and S their sigmas, nonnegative.  A NaN sigma, or S None,
+    means none was given, and the reference sigmas built from it are 1.  L
+    and W are the (N,) lengths and widths, finite and positive.  A tuple
+    that pose.observable marks False is skipped as unobservable; a record
+    that failed marks True fuses nothing, and check_row raises why.
+    """
+    R, L, W = (np.asarray(a, dtype=float) for a in (R, L, W))
+    S = np.full(R.shape, np.nan) if S is None else np.asarray(S, dtype=float)
+    ratio_pairs, sigma_pairs = reference_pairs(R.T, S.T)
+    r1, r2 = (np.stack(column, axis=1) for column in zip(*ratio_pairs))
+    s1, s2 = (np.nan_to_num(np.stack(column, axis=1), nan=1.0) for column in zip(*sigma_pairs))
+    pose = recovery.invert(r1, r2, np.arange(4), L[:, None], W[:, None])
+    sigma_d = propagate_sigma((pose.p1, pose.p2), s1, s2)
+    used = pose.observable
+    weight, d_fusion, theta_fusion = _fuse(pose.theta, pose.d_obj, sigma_d, used)
+    failed = ~used.any(axis=1) | (used & ~(np.isfinite(sigma_d) & (sigma_d > 0.0))).any(axis=1)
+    return Batch(pose, sigma_d, weight, d_fusion, theta_fusion, failed)
+
+
+def check_row(batch: Batch, row: int) -> None:
+    """Raise what fuse_tuples raises for the record: AllDegenerate, then NonPositiveSigma."""
+    used = batch.pose.observable[row]
+    if not used.any():
+        raise recovery.AllDegenerate(f"no usable tuple among {list(KEYEDGES)}")
+    _check_sigma_d(*batch.sigma_d[row, used].tolist())
 
 
 def depth_partials(t: RatioTuple, length: float, width: float) -> tuple[float, float]:
     """Closed-form (d d_obj / d r1, d d_obj / d r2) at the tuple's values."""
-    return _partials(t, recovery.pose_estimate(t, length, width), length, width)
+    inv = recovery.invert_tuple(t, length, width)
+    return inv.p1.item(), inv.p2.item()
 
 
 def propagate_sigma(partials: tuple[float, float], sigma1: float, sigma2: float) -> float:
-    """sigma_d = |p1| * sigma1 + |p2| * sigma2.
+    """sigma_d = |p1| * sigma1 + |p2| * sigma2, for floats or arrays alike.
 
     Zero sigmas are allowed (exact ratios give an exact depth); negative
     ones are not.
     """
-    if sigma1 < 0.0 or sigma2 < 0.0:
+    if np.any(np.less((sigma1, sigma2), 0.0)):
         raise NonPositiveSigma(f"sigmas must be nonnegative, got {sigma1}, {sigma2}")
     p1, p2 = partials
     return abs(p1) * sigma1 + abs(p2) * sigma2
@@ -106,20 +139,12 @@ def fuse(members: Sequence[tuple[PoseEstimate, float]]) -> FusedEstimate:
     members = list(members)
     if not members:
         raise EmptyInput("nothing to fuse")
-    for _, sigma_d in members:
-        if not (math.isfinite(sigma_d) and sigma_d > 0.0):
-            raise NonPositiveSigma(f"sigma_d must be positive, got {sigma_d}")
-    raw = [1.0 / sigma_d for _, sigma_d in members]
-    total = sum(raw)
-    weights = [w / total for w in raw]
-    d_fusion = sum(w * est.d_obj for w, (est, _) in zip(weights, members))
-    sin_sum = sum(w * math.sin(est.theta) for w, (est, _) in zip(weights, members))
-    cos_sum = sum(w * math.cos(est.theta) for w, (est, _) in zip(weights, members))
-    theta_fusion = normalize_angle(math.atan2(sin_sum, cos_sum))
-    per_tuple = tuple(
-        (est, sigma_d, w) for (est, sigma_d), w in zip(members, weights)
-    )
-    return FusedEstimate(d_fusion=d_fusion, theta_fusion=theta_fusion, per_tuple=per_tuple)
+    estimates, sigma_d = zip(*members)
+    _check_sigma_d(*sigma_d)
+    theta, d_obj = (np.array([[getattr(e, name) for e in estimates]]) for name in ("theta", "d_obj"))
+    weight, d_fusion, theta_fusion = _fuse(theta, d_obj, np.array([sigma_d]), True)
+    per_tuple = tuple(zip(estimates, sigma_d, weight[0].tolist()))
+    return FusedEstimate(d_fusion.item(), theta_fusion.item(), per_tuple)
 
 
 def fuse_tuples(
@@ -135,14 +160,14 @@ def fuse_tuples(
     per-ratio uncertainty.  Returns the fused estimate and solve_all's
     (reference, reason) skips; raises AllDegenerate when nothing survives.
     """
-    by_ref = {t.reference: t for t in tuples}
-    estimates, skipped = recovery.solve_all(tuples, length, width)
-    members = []
-    for est in estimates:
-        s1, s2 = sigmas[est.reference] if sigmas else (1.0, 1.0)
-        partials = _partials(by_ref[est.reference], est, length, width)
-        members.append((est, propagate_sigma(partials, s1, s2)))
-    return fuse(members), skipped
+    tuples = list(tuples)
+    inv = recovery.solve_row(tuples, length, width)
+    estimates, skipped = recovery.row_estimates(tuples, inv)
+    partials = zip(inv.p1[inv.observable].tolist(), inv.p2[inv.observable].tolist())
+    return fuse([
+        (est, propagate_sigma(p, *(sigmas[est.reference] if sigmas else (1.0, 1.0))))
+        for est, p in zip(estimates, partials)
+    ]), skipped
 
 
 def uncertainty_loss(r: float, sigma: float, r_star: float) -> float:

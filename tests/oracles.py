@@ -72,6 +72,66 @@ def central_difference(f, x, step):
 
 
 # ---------------------------------------------------------------------------
+# Tuple inversion by a 2x2 linear solve, independent of the package.
+
+# Each bottom corner's depth as d_b * (c0 + c1 * x + c2 * y), where
+# x = w cos(theta) / d_b and y = l sin(theta) / d_b, from the relations
+# d_a = d_b + w cos(theta) and d_c = d_b + l sin(theta) and the rectangle's
+# d_a + d_c = d_b + d_d.
+CORNER_COEFFS = {"a": (1.0, 1.0, 0.0), "b": (1.0, 0.0, 0.0), "c": (1.0, 0.0, 1.0), "d": (1.0, 1.0, 1.0)}
+# Stored ratio r_pq = h_p / h_q = d_q / d_p.
+STORED_PAIRS = {"r_ab": ("a", "b"), "r_bc": ("b", "c"), "r_cd": ("c", "d"), "r_da": ("d", "a")}
+
+
+def invert_reference(reference, stored, length, width):
+    """(theta, d_ref, d_obj) from the two stored ratios that touch the reference.
+
+    Each ratio gives one equation d_q - r_pq * d_p = 0, linear in (x, y)
+    once divided by d_b; the 2x2 system fixes (x, y), and
+    (x / w)^2 + (y / l)^2 = 1 / d_b^2 fixes the scale.  d_obj is the mean
+    of the four corner depths.
+    """
+    rows = []
+    for key, (p, q) in STORED_PAIRS.items():
+        if reference in (p, q):
+            rows.append(np.array(CORNER_COEFFS[q]) - stored[key] * np.array(CORNER_COEFFS[p]))
+    x, y = np.linalg.solve(np.array([row[1:] for row in rows]), -np.array([row[0] for row in rows]))
+    d_b = 1.0 / math.sqrt((x / width) ** 2 + (y / length) ** 2)
+    depth = {k: d_b * (c0 + c1 * x + c2 * y) for k, (c0, c1, c2) in CORNER_COEFFS.items()}
+    return math.atan2(y / length, x / width), depth[reference], sum(depth.values()) / 4.0
+
+
+def gate_records(n, seed):
+    """Seeded kernel inputs: stored ratios R (n, 4), sigmas S (n, 4), lengths L, widths W.
+
+    Row k is of kind k % 8: 0 exact ratios of a random pose (depths from
+    rotation_corners); 1 the same with 1 % multiplicative noise; 2 noisy
+    with a NaN sigma row (a record without sigmas); 3 exact with NaN
+    sigmas; 4 all four ratios 1 (every tuple flat); 5 r_ab = r_bc = 1
+    (tuple b flat); 6 all sigmas 0 (every sigma_d 0); 7 r_ab and r_bc
+    within 5e-11 of 1, inside the degeneracy tolerance.
+    """
+    rng = np.random.default_rng(seed)
+    R, S, L, W = np.empty((n, 4)), rng.uniform(1e-4, 0.05, (n, 4)), np.empty(n), np.empty(n)
+    for k in range(n):
+        z, gamma = rng.uniform(4.0, 80.0), rng.uniform(-0.7, 0.7)
+        L[k], W[k], height = rng.uniform(2.5, 6.0), rng.uniform(1.2, 2.5), rng.uniform(1.0, 2.5)
+        yaw = rng.uniform(-math.pi, math.pi)
+        corners, _ = rotation_corners(z * math.tan(gamma), 1.65 - height / 2.0, z, L[k], W[k],
+                                      height, yaw)
+        R[k] = [corners[q][2] / corners[p][2] for p, q in STORED_PAIRS.values()]
+    kind = np.arange(n) % 8
+    noisy = np.isin(kind, (1, 2, 5))
+    R[noisy] *= np.exp(rng.normal(0.0, 0.01, (noisy.sum(), 4)))
+    S[np.isin(kind, (2, 3))] = np.nan
+    R[kind == 4] = 1.0
+    R[kind == 5, :2] = 1.0
+    S[kind == 6] = 0.0
+    R[kind == 7, :2] = 1.0 + rng.uniform(-5e-11, 5e-11, ((kind == 7).sum(), 2))
+    return R, S, L, W
+
+
+# ---------------------------------------------------------------------------
 # Exhaustive ARDE sweep, independent of the package implementation.
 
 

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -188,18 +189,20 @@ class TestSolveFlow:
         write_jsonl(src, [rec])
         assert run("solve", "--in", src, "--out", est) == 3
 
-    @pytest.mark.parametrize("dims", [{"length": -4.0}, {"width": 0}])
+    @pytest.mark.parametrize("dims", [{"length": -4.0}, {"width": 0}, {"length": True},
+                                      {"width": "1.5"}])
     def test_non_positive_dims_exit_3(self, tmp_path, capsys, dims):
         rec = {"index": 0, "length": 4.0, "width": 2.0,
                "r_ab": 1.1, "r_bc": 0.9, "r_cd": 1.05, "r_da": 0.95, **dims}
         src, est = tmp_path / "r.jsonl", tmp_path / "e.jsonl"
         write_jsonl(src, [rec])
         assert run("solve", "--in", src, "--out", est) == 3
-        (name,) = dims
-        assert f"{name} must be positive" in capsys.readouterr().err
+        ((name, value),) = dims.items()
+        problem = "must be a number" if isinstance(value, (bool, str)) else "must be positive"
+        assert f"{name} {problem}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("bad", [{"r_ab": 0.0}, {"r_bc": -0.9}, {"r_cd": math.inf},
-                                     {"r_da": math.nan}])
+                                     {"r_da": math.nan}, {"r_ab": True}, {"r_bc": "1.5"}])
     def test_ratio_not_finite_and_positive_exit_3(self, tmp_path, capsys, bad):
         rec = {"index": 4, "length": 4.0, "width": 2.0,
                "r_ab": 1.1, "r_bc": 0.9, "r_cd": 1.05, "r_da": 0.95, **bad}
@@ -207,12 +210,13 @@ class TestSolveFlow:
             src, est = tmp_path / "r.jsonl", tmp_path / "e.jsonl"
             write_jsonl(src, [{**rec, **sigmas}])
             assert run("solve", "--in", src, "--out", est) == 3
-            (key,) = bad
+            ((key, value),) = bad.items()
             err = capsys.readouterr().err
             assert err.startswith("error: record 0 (index 4): ")
-            assert f"{key} must be finite and positive" in err
+            problem = "must be a number" if isinstance(value, (bool, str)) else "must be finite and positive"
+            assert f"{key} {problem}" in err
 
-    @pytest.mark.parametrize("sigma", [-0.01, math.nan, math.inf])
+    @pytest.mark.parametrize("sigma", [-0.01, math.nan, math.inf, True, "1.5"])
     def test_sigma_not_finite_and_nonnegative_exit_3(self, tmp_path, capsys, sigma):
         rec = {"index": 4, "length": 4.0, "width": 2.0,
                "r_ab": 1.1, "r_bc": 0.9, "r_cd": 1.05, "r_da": 0.95,
@@ -222,7 +226,8 @@ class TestSolveFlow:
         assert run("solve", "--in", src, "--out", est) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: record 0 (index 4): ")
-        assert "sigma_ab must be finite and nonnegative" in err
+        problem = "must be a number" if isinstance(sigma, (bool, str)) else "must be finite and nonnegative"
+        assert f"sigma_ab {problem}" in err
 
     @pytest.mark.parametrize("bad, code", [
         ({"r_ab": 1.0, "r_bc": 1.0, "r_cd": 1.0, "r_da": 1.0}, 5),
@@ -236,6 +241,19 @@ class TestSolveFlow:
         write_jsonl(scene, records)
         assert run("solve", "--in", scene, "--out", est) == code
         assert capsys.readouterr().err.startswith("error: record 2 (index 17): ")
+
+
+    def test_parse_errors_come_before_degeneracy(self, tmp_path, capsys):
+        # record 1 fuses nothing (exit 5 on its own), record 3 is malformed
+        scene, est = tmp_path / "s.jsonl", tmp_path / "e.jsonl"
+        assert synth(scene, count=4, seed=6) == 0
+        records = read_jsonl(scene)
+        records[1].update(r_ab=1.0, r_bc=1.0, r_cd=1.0, r_da=1.0)
+        records[3].update(r_cd="x")
+        write_jsonl(scene, records)
+        assert run("solve", "--in", scene, "--out", est) == 3
+        assert capsys.readouterr().err.startswith("error: record 3 (index 3): ")
+        assert not est.exists()
 
 
 class TestLabelgen:
@@ -286,6 +304,18 @@ class TestLabelgen:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {labels}: ")
         assert "z=-5.0 (line 3, field 14)" in err
+        assert not out.exists()
+
+    def test_non_positive_focal_exit_3(self, tmp_path, capsys):
+        calib = tmp_path / "000001.txt"
+        text = (DATA / "calib" / "000001.txt").read_text()
+        calib.write_text(text.replace("P2: 7.215377000000e+02", "P2: -7.0e+02"))
+        out = tmp_path / "gt.jsonl"
+        assert run("labelgen", "--labels", DATA / "labels" / "000001.txt",
+                   "--calib", calib, "--out", out) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {calib}: ")
+        assert "P2[0,0] = -700.0 (line 3)" in err
         assert not out.exists()
 
     def test_frames_from_file_stems(self, tmp_path):
@@ -410,6 +440,13 @@ class TestEvalArde:
         assert run("eval-arde", "--detections", det_path, "--ground-truth", gt_path,
                    "--out", tmp_path / "r.json") == 2
 
+    def test_boolean_confidence_exit_3(self, tmp_path, capsys):
+        det_path, gt_path = self.write_inputs(tmp_path)
+        write_jsonl(det_path, [self.DETS[0], {**self.DETS[1], "confidence": True}])
+        assert run("eval-arde", "--detections", det_path, "--ground-truth", gt_path,
+                   "--out", tmp_path / "r.json") == 3
+        assert "detection 1: confidence must be a number, got True" in capsys.readouterr().err
+
     def test_missing_field_exit_3(self, tmp_path):
         det_path, gt_path = self.write_inputs(tmp_path)
         write_jsonl(det_path, [{**unit_box_fields(0, 0), "d_est": 10.0}])  # no confidence
@@ -519,10 +556,17 @@ class TestExitCodes:
         assert synth(tmp_path / "missing" / "deep" / "s.jsonl") == 4
 
 
+def module_env():
+    """The environment for a `python -m keyedge` subprocess: src first on the path."""
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(REPO / "src"), os.environ.get("PYTHONPATH")) if p)}
+
+
 class TestModuleEntry:
     def test_module_help(self):
         proc = subprocess.run(
-            [sys.executable, "-m", "keyedge", "--help"], capture_output=True, text=True
+            [sys.executable, "-m", "keyedge", "--help"], capture_output=True, text=True,
+            env=module_env(),
         )
         assert proc.returncode == 0
         assert "synth" in proc.stdout and "sensitivity" in proc.stdout
@@ -532,7 +576,7 @@ class TestModuleEntry:
         proc = subprocess.run(
             [sys.executable, "-m", "keyedge", "synth", "--count", "3", "--seed", "1",
              "--out", str(out)],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=module_env(),
         )
         assert proc.returncode == 0, proc.stderr
         assert len(read_jsonl(out)) == 3

@@ -1,33 +1,40 @@
-"""Closed-form inversion: placeholder rows, yaw/depth recovery, round trips."""
+"""Closed-form inversion: the array kernel, its one-row views, round trips."""
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from keyedge.geometry import (
+    RATIO_KEYS,
     BoxPose3D,
     CameraIntrinsics,
     keyedge_ratios,
     normalize_angle,
     project_keyedges,
 )
-from keyedge.indexing import RatioTuple, camera_centric_view, to_object_centric_tuples
+from keyedge.indexing import (
+    RatioTuple,
+    camera_centric_view,
+    object_centric_tuples,
+    to_object_centric_tuples,
+)
 from keyedge.recovery import (
     AllDegenerate,
     DEGENERACY_TOL,
     InvalidDims,
-    NonPositiveResult,
     PoseEstimate,
     UnobservableDistortion,
-    axis_scales,
-    center_depth,
-    placeholder_row,
+    invert,
     pose_estimate,
     solve_all,
     solve_tuple,
 )
+from keyedge.uncertainty import solve_batch
+from oracles import gate_records, invert_reference
 
+EPS = np.finfo(float).eps
 INTR = CameraIntrinsics(focal_length=721.5377, principal_point=(609.5593, 172.854))
 
 # Reference scene: l=4, w=2, yaw=30deg, d_b=10.
@@ -54,22 +61,6 @@ def poses(draw):
 def ground_truth_tuples(pose):
     obs = project_keyedges(pose, INTR)
     return to_object_centric_tuples(camera_centric_view(obs))
-
-
-class TestPlaceholderRow:
-    def test_table_rows(self):
-        # signed (e1, e2) rearrangements, one row per reference keyedge
-        e1, e2 = 0.25, -0.125
-        t = lambda ref: RatioTuple(ref, 1.0 + e1, 1.0 + e2)
-        rows = {ref: placeholder_row(t(ref)) for ref in "abcd"}
-        assert (rows["a"].rtheta_w, rows["a"].rtheta_l) == (e1, -e2)
-        assert (rows["a"].rd_w, rows["a"].rd_l) == (e2, e1)
-        assert (rows["b"].rtheta_w, rows["b"].rtheta_l) == (e2, e1)
-        assert (rows["b"].rd_w, rows["b"].rd_l) == (e1, e2)
-        assert (rows["c"].rtheta_w, rows["c"].rtheta_l) == (-e1, e2)
-        assert (rows["c"].rd_w, rows["c"].rd_l) == (e2, e1)
-        assert (rows["d"].rtheta_w, rows["d"].rtheta_l) == (-e2, -e1)
-        assert (rows["d"].rd_w, rows["d"].rd_l) == (e1, e2)
 
 
 class TestSolveTuple:
@@ -129,32 +120,27 @@ class TestSolveTuple:
 
 class TestCenterDepth:
     def test_fixture_both_references(self):
-        theta = math.radians(30.0)
-        assert center_depth(theta, 10.0, "b", 4.0, 2.0) == pytest.approx(D_OBJ, abs=1e-7)
-        assert center_depth(theta, D_A, "a", 4.0, 2.0) == pytest.approx(D_OBJ, abs=1e-7)
+        assert pose_estimate(TUPLE_B, 4.0, 2.0).d_obj == pytest.approx(D_OBJ, abs=1e-7)
+        assert pose_estimate(TUPLE_A, 4.0, 2.0).d_obj == pytest.approx(D_OBJ, abs=1e-7)
 
     def test_axis_aligned_reduces_to_half_width(self):
-        assert center_depth(0.0, 9.0, "b", 4.0, 2.0) == pytest.approx(10.0)
-
-    def test_non_positive_result(self):
-        # inconsistent inputs: tiny reference depth, large backward offset
-        with pytest.raises(NonPositiveResult):
-            center_depth(math.radians(-90.0), 0.5, "b", 4.0, 2.0)
+        # yaw 0, d_b = 9: d_a = 9 + w, d_c = 9, so d_obj = 9 + w / 2
+        assert pose_estimate(RatioTuple("b", 11.0 / 9.0, 1.0), 4.0, 2.0).d_obj == pytest.approx(10.0)
 
     @given(poses())
     def test_all_references_agree(self, pose):
-        obs = project_keyedges(pose, INTR)
-        for ref in "abcd":
-            got = center_depth(pose.yaw, obs.depths[ref], ref, pose.length, pose.width)
+        for t in ground_truth_tuples(pose):
+            got = pose_estimate(t, pose.length, pose.width).d_obj
             assert got == pytest.approx(pose.z, rel=1e-12)
 
 
 class TestAxisScales:
     @given(poses())
     def test_unified_depth_form(self, pose):
-        # d_ref = (e1^2/k1^2 + e2^2/k2^2)^(-1/2) for every reference
+        # d_ref = (e1^2/k1^2 + e2^2/k2^2)^(-1/2) for every reference, with
+        # (k1, k2) = (l, w) for a and c and (w, l) for b and d
         for t in ground_truth_tuples(pose):
-            k1, k2 = axis_scales(t.reference, pose.length, pose.width)
+            k1, k2 = (pose.width, pose.length) if t.reference in "bd" else (pose.length, pose.width)
             e1, e2 = t.r1 - 1.0, t.r2 - 1.0
             s = (e1 / k1) ** 2 + (e2 / k2) ** 2
             _, d_ref = solve_tuple(t, length=pose.length, width=pose.width)
@@ -201,3 +187,64 @@ class TestSolveAll:
         assert est.d_ref == pytest.approx(10.0, abs=1e-9)
         assert est.d_obj == pytest.approx(D_OBJ, abs=1e-9)
         assert -math.pi <= est.theta < math.pi
+
+
+class TestSolveBatch:
+    def test_sign_rows(self):
+        # Per reference, the signed rearrangement (Rtheta_w, Rtheta_l, Rd_w,
+        # Rd_l) of (e1, e2) that gives theta = atan2(w Rtheta_w, l Rtheta_l)
+        # and d_ref = ((Rd_w / w)^2 + (Rd_l / l)^2)^(-1/2); the unified form
+        # must reproduce all four.
+        e1, e2 = 0.25, -0.125
+        length, width = 4.0, 2.0
+        rows = {
+            "a": (e1, -e2, e2, e1),
+            "b": (e2, e1, e1, e2),
+            "c": (-e1, e2, e2, e1),
+            "d": (-e2, -e1, e1, e2),
+        }
+        inv = invert(np.full(4, 1.0 + e1), np.full(4, 1.0 + e2), np.arange(4), length, width)
+        for i, (ref, (rtheta_w, rtheta_l, rd_w, rd_l)) in enumerate(rows.items()):
+            theta = math.atan2(width * rtheta_w, length * rtheta_l)
+            assert abs(normalize_angle(inv.theta[i] - theta)) <= 1e-15
+            assert inv.d_ref[i] == 1.0 / math.sqrt((rd_w / width) ** 2 + (rd_l / length) ** 2)
+            view = solve_tuple(RatioTuple(ref, 1.0 + e1, 1.0 + e2), length, width)
+            assert view == pytest.approx((inv.theta[i], inv.d_ref[i]), rel=1e-15, abs=1e-15)
+
+    def test_rows_match_views_and_oracle(self):
+        # 10k seeded rows, noisy and degenerate ones included: the kernel's
+        # pose stage, solve_all and solve_tuple, and the 2x2 oracle agree to
+        # 1e-12 (relative for depths, in radians for yaw), and the kernel's
+        # mask marks exactly the tuples the views skip or reject.
+        #
+        # The oracle gets e = (1 - r) / r for a reversed ratio exactly, while
+        # the kernel's 1 / r - 1 carries a rounding of up to eps, which moves
+        # d_ref by up to eps * d_ref / min(l, w) relative and theta by as many
+        # radians.  That term stays below 1e-13 up to d_ref = 100 m; it
+        # matters only for a near-flat tuple of a forced-degenerate row.
+        R, S, L, W = gate_records(10_000, seed=7)
+        pose = solve_batch(R, S, L, W).pose
+        for n in range(len(R)):
+            stored = dict(zip(RATIO_KEYS, R[n].tolist()))
+            tuples = object_centric_tuples(stored)
+            observable = pose.observable[n].tolist()
+            flat = [t.reference for t, ok in zip(tuples, observable) if not ok]
+            if not any(observable):
+                with pytest.raises(AllDegenerate):
+                    solve_all(tuples, L[n], W[n])
+                continue
+            estimates, skipped = solve_all(tuples, L[n], W[n])
+            assert skipped == [(ref, "unobservable distortion") for ref in flat]
+            for t in tuples:
+                if t.reference in flat:
+                    with pytest.raises(UnobservableDistortion):
+                        solve_tuple(t, L[n], W[n])
+            for est in estimates:
+                j = "abcd".index(est.reference)
+                row = (pose.theta[n, j], pose.d_ref[n, j], pose.d_obj[n, j])
+                assert abs(normalize_angle(est.theta - row[0])) <= 1e-12
+                assert (est.d_ref, est.d_obj) == pytest.approx(row[1:], rel=1e-12)
+                theta, d_ref, d_obj = invert_reference(est.reference, stored, L[n], W[n])
+                tol = 1e-12 + 4.0 * EPS * d_ref / min(L[n], W[n])
+                assert abs(normalize_angle(row[0] - theta)) <= tol
+                assert row[1:] == pytest.approx((d_ref, d_obj), rel=tol)

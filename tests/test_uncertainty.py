@@ -6,12 +6,24 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from keyedge.geometry import BoxPose3D, CameraIntrinsics, normalize_angle, project_keyedges
-from keyedge.indexing import RatioTuple, camera_centric_view, to_object_centric_tuples
+from keyedge.dataio import SIGMA_KEYS, record_ratio_sigmas
+from keyedge.geometry import (
+    RATIO_KEYS,
+    BoxPose3D,
+    CameraIntrinsics,
+    normalize_angle,
+    project_keyedges,
+)
+from keyedge.indexing import (
+    RatioTuple,
+    camera_centric_view,
+    object_centric_tuples,
+    to_object_centric_tuples,
+)
 from keyedge.recovery import (
     PoseEstimate,
     UnobservableDistortion,
-    center_depth,
+    pose_estimate,
     solve_all,
     solve_tuple,
 )
@@ -19,14 +31,15 @@ from keyedge.uncertainty import (
     EmptyInput,
     FusedEstimate,
     NonPositiveSigma,
-    RatioWithSigma,
+    check_row,
     depth_partials,
     fuse,
     fuse_tuples,
     propagate_sigma,
+    solve_batch,
     uncertainty_loss,
 )
-from oracles import central_difference
+from oracles import central_difference, gate_records
 
 INTR = CameraIntrinsics(focal_length=721.5377, principal_point=(609.5593, 172.854))
 
@@ -35,9 +48,7 @@ TUPLE_B = RatioTuple("b", D_A / 10.0, 1.2)
 
 
 def d_obj_of(reference, r1, r2, length, width):
-    t = RatioTuple(reference, r1, r2)
-    theta, d_ref = solve_tuple(t, length, width)
-    return center_depth(theta, d_ref, reference, length, width)
+    return pose_estimate(RatioTuple(reference, r1, r2), length, width).d_obj
 
 
 def fd_partials(t, length, width, step=1e-6):
@@ -273,6 +284,54 @@ class TestEndToEnd:
         assert fused.d_fusion == pytest.approx(pose.z, rel=1e-9)
         assert abs(normalize_angle(fused.theta_fusion - pose.yaw)) < 1e-9
 
-    def test_ratio_with_sigma_validation(self):
-        with pytest.raises(NonPositiveSigma):
-            RatioWithSigma(TUPLE_B, sigma1=0.0, sigma2=0.1)
+
+def raised(call):
+    """The exception call() raises, as (type, message), or None."""
+    try:
+        call()
+    except ValueError as err:
+        return type(err), str(err)
+    return None
+
+
+class TestSolveBatch:
+    def test_rows_match_fuse_tuples(self):
+        # 10k seeded rows, noisy and degenerate ones included: each kernel
+        # row fuses as fuse_tuples does on the record's tuples and sigmas, to
+        # 1e-12 (relative for depths and sigmas, in radians for yaw), and a
+        # row fails exactly where fuse_tuples raises, with its exception.
+        R, S, L, W = gate_records(10_000, seed=11)
+        batch = solve_batch(R, S, L, W)
+        reasons = set()
+        for n in range(len(R)):
+            record = dict(zip(RATIO_KEYS, R[n].tolist()))
+            if not np.isnan(S[n]).all():
+                record.update(zip(SIGMA_KEYS, S[n].tolist()))
+            tuples = object_centric_tuples(record)
+            call = lambda: fuse_tuples(tuples, record_ratio_sigmas(record), L[n], W[n])
+            error = raised(lambda: check_row(batch, n))
+            assert error == raised(call)
+            assert bool(batch.failed[n]) == (error is not None)
+            if error:
+                reasons.add(error[0].__name__)
+                continue
+            fused, skipped = call()
+            observable = batch.pose.observable[n]
+            assert skipped == [(t.reference, "unobservable distortion")
+                               for t, ok in zip(tuples, observable) if not ok]
+            assert fused.d_fusion == pytest.approx(batch.d_fusion[n], rel=1e-12)
+            assert abs(normalize_angle(fused.theta_fusion - batch.theta_fusion[n])) <= 1e-12
+            for (est, sigma_d, weight), j in zip(fused.per_tuple, np.flatnonzero(observable)):
+                assert est.reference == "abcd"[j]
+                assert sigma_d == pytest.approx(batch.sigma_d[n, j], rel=1e-12)
+                assert weight == pytest.approx(batch.weight[n, j], rel=1e-12)
+        assert reasons == {"AllDegenerate", "NonPositiveSigma"}
+
+    def test_absent_sigmas_are_unit_sigmas(self):
+        R, _, L, W = gate_records(64, seed=3)
+        unit = solve_batch(R, None, L, W)
+        nan_rows = solve_batch(R, np.full(R.shape, np.nan), L, W)
+        pose = unit.pose
+        assert np.array_equal(unit.sigma_d, abs(pose.p1) + abs(pose.p2), equal_nan=True)
+        for name in ("sigma_d", "weight", "d_fusion", "theta_fusion", "failed"):
+            assert np.array_equal(getattr(unit, name), getattr(nan_rows, name), equal_nan=True)
