@@ -39,14 +39,12 @@ from .dataio import (
     NoiseModel,
     ParseError,
     SceneConfig,
-    generate_scene,
     iter_jsonl,
     labels_to_ground_truth,
     object_record,
+    observe_scene,
     parse_calib,
     parse_label_file,
-    perturb_heights,
-    ratio_sigmas,
     read_jsonl,
     record_number,
     record_ratios,
@@ -61,7 +59,6 @@ from .geometry import (
     NonPositiveDepth,
     ZeroHeight,
     keyedge_ratios,
-    project_keyedges,
     wrap_turn,
 )
 from .indexing import DegenerateObservation
@@ -89,7 +86,7 @@ LABELGEN_FIELDS = (*PLAIN_FIELDS, "frame")
 
 PER_TUPLE_FIELDS = ("theta", "d_obj", "sigma_d", "weight")
 
-# "z" appears only when the input record carries it.
+# "z" is dropped when records exist and none carries it.
 SOLVE_FIELDS = (
     "index", "class_name", "z", "length", "width",
     "d_fusion", "theta_fusion", "theta_fusion_rule",
@@ -268,13 +265,11 @@ def _write_records(args: argparse.Namespace, rows, fields, verb: str) -> None:
     """JSON-lines to --out and, if given, a CSV mirror to --csv-out.
 
     rows() returns the records afresh for each file, so solve can stream
-    them.  The CSV header is the first record's keys, or fields, the
-    command's schema, when there are no records.
+    them.  The CSV header is fields, the command's schema for these rows.
     """
     count = write_jsonl(args.out, rows())
     if args.csv_out:
-        first = next(iter(rows()), None)
-        write_csv(args.csv_out, rows(), fields=list(first) if first else fields)
+        write_csv(args.csv_out, rows(), fields=fields)
     print(f"{verb} {count} records to {args.out}")
 
 
@@ -291,16 +286,8 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     noise = NoiseModel(kind=args.noise, sigma_px=args.sigma_px, quantum_px=args.quantum_px)
     intr = _intrinsics(args)
     _check_paths(args)
-    records = []
-    for i, pose in enumerate(generate_scene(scene)):
-        obs = project_keyedges(pose, intr)
-        sigmas = None
-        if noise.kind != "none":
-            # distinct substream per object, disjoint from the pose streams
-            rng = np.random.default_rng(np.random.SeedSequence(args.seed, spawn_key=(i, 1)))
-            obs = perturb_heights(obs, noise, rng)
-            sigmas = ratio_sigmas(obs, noise)
-        records.append(object_record(i, args.class_name, pose, intr, obs, sigmas=sigmas))
+    records = [object_record(i, args.class_name, pose, intr, obs, sigmas=sigmas)
+               for i, (pose, obs, sigmas) in enumerate(observe_scene(scene, intr, noise))]
     fields = RECORD_FIELDS if sigma_effective(noise) else PLAIN_FIELDS
     _write_records(args, lambda: records, fields, "wrote")
     return 0
@@ -397,7 +384,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             check_row(batch, row)
         except DEGENERACY_ERRORS as err:
             raise type(err)(f"record {row} (index {heads[row]['index']}): {err}") from None
-    _write_records(args, lambda: _solved_rows(heads, batch), SOLVE_FIELDS, "solved")
+    has_z = not heads or any("z" in head for head in heads)
+    fields = SOLVE_FIELDS if has_z else tuple(f for f in SOLVE_FIELDS if f != "z")
+    _write_records(args, lambda: _solved_rows(heads, batch), fields, "solved")
     return 0
 
 
@@ -468,22 +457,18 @@ def _cmd_eval_arde(args: argparse.Namespace) -> int:
 # Sensitivity grid.
 
 
-def _trial_errors(scene: SceneConfig, intr: CameraIntrinsics, noise: NoiseModel, noise_rng) -> tuple:
+def _trial_errors(scene: SceneConfig, intr: CameraIntrinsics, noise: NoiseModel) -> tuple:
     """n_failed, then mean and median of relative depth error and of absolute yaw error.
 
-    Each pose is drawn, projected and perturbed into a solve record in turn;
-    one solve_batch call then solves them all.  A trial fails where it fuses
-    nothing.
+    The scene's observed ratios and sigmas go to one solve_batch call as
+    columns.  A trial fails where it fuses nothing.
     """
-    poses = generate_scene(scene)
-    records = []
-    for pose in poses:
-        obs = perturb_heights(project_keyedges(pose, intr), noise, noise_rng)
-        sigmas = ratio_sigmas(obs, noise) or {}
-        records.append({**keyedge_ratios(obs), **sigmas, "length": pose.length, "width": pose.width})
-    _, columns = _solve_columns(records)
-    batch = solve_batch(*columns)
-    z, yaw = (np.array([getattr(pose, name) for pose in poses]) for name in ("z", "yaw"))
+    poses, observations, sigmas = zip(*observe_scene(scene, intr, noise))
+    ratios = [list(keyedge_ratios(obs).values()) for obs in observations]
+    S = None if sigmas[0] is None else [list(s.values()) for s in sigmas]
+    z, yaw, length, width = (np.array([getattr(pose, name) for pose in poses])
+                             for name in ("z", "yaw", "length", "width"))
+    batch = solve_batch(ratios, S, length, width)
     ok = ~batch.failed
     rel_depth = (abs(batch.d_fusion - z) / z)[ok]
     abs_yaw = abs(wrap_turn(batch.theta_fusion - yaw))[ok]
@@ -515,16 +500,15 @@ def _cmd_sensitivity(args: argparse.Namespace) -> int:
         )
         for band_idx, band in enumerate(bands):
             for bin_idx, (glo, ghi) in enumerate(gbins_deg):
-                # one independent stream pair per cell: scene seed + noise draws
-                root = np.random.SeedSequence(args.seed, spawn_key=(noise_idx, band_idx, bin_idx))
-                scene_child, noise_child = root.spawn(2)
+                # one scene seed per cell; its pose and noise streams both come from it
+                cell_seed = np.random.SeedSequence(args.seed, spawn_key=(noise_idx, band_idx, bin_idx))
                 cell = replace(
                     scene,
-                    seed=int(scene_child.generate_state(1, np.uint64)[0]),
+                    seed=int(cell_seed.generate_state(1, np.uint64)[0]),
                     depth_range=band,
                     gamma_range=(math.radians(glo), math.radians(ghi)),
                 )
-                errors = _trial_errors(cell, intr, noise, np.random.default_rng(noise_child))
+                errors = _trial_errors(cell, intr, noise)
                 rows.append((noise.kind, param, *band, glo, ghi, args.trials, *errors))
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")

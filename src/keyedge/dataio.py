@@ -245,8 +245,9 @@ class SceneConfig:
             raise ConfigError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
         for name in ("depth_range", "gamma_range", "length_range", "width_range", "height_range"):
             _check_range(name, *getattr(self, name))
-        if self.depth_range[0] <= 0.0:
-            raise ConfigError(f"depth_range must be positive, got {self.depth_range}")
+        for name in ("depth_range", "length_range", "width_range", "height_range"):
+            if getattr(self, name)[0] <= 0.0:
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         if not (-math.pi / 2 < self.gamma_range[0] and self.gamma_range[1] < math.pi / 2):
             raise ConfigError(f"gamma_range must lie inside (-pi/2, pi/2), got {self.gamma_range}")
         if not math.isfinite(self.ground_y):
@@ -270,24 +271,23 @@ def min_tuple_distortion(pose: BoxPose3D) -> float:
 
 
 def generate_scene(cfg: SceneConfig) -> list[BoxPose3D]:
-    """Draw poses from per-object substreams of the scene seed.
+    """Draw poses in object order from one stream of the scene seed.
 
-    Object i uses SeedSequence(seed, spawn_key=(i,)), so scenes are prefix
-    stable under count changes and objects can be drawn in parallel without
-    changing the output.  Poses with a keyedge at z <= 0 are redrawn, as are
-    poses under cfg.min_distortion when that rejection is enabled; either
-    way a single object gets at most MAX_POSE_RETRIES draws.
+    The stream is SeedSequence(seed, spawn_key=(0,)).  Each draw takes six
+    uniforms (depth, viewing angle, yaw, length, width, height) and a redraw
+    continues the same stream, so object i depends only on objects 0..i-1
+    and scenes are prefix stable under count changes.  Poses with a keyedge
+    at z <= 0 are redrawn, as are poses under cfg.min_distortion when that
+    rejection is enabled; either way a single object gets at most
+    MAX_POSE_RETRIES draws.
     """
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(0,)))
+    lows, highs = np.array([cfg.depth_range, cfg.gamma_range, (-math.pi, math.pi),
+                            cfg.length_range, cfg.width_range, cfg.height_range]).T
     poses = []
     for index in range(cfg.count):
-        rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(index,)))
         for _ in range(MAX_POSE_RETRIES):
-            z = float(rng.uniform(*cfg.depth_range))
-            gamma = float(rng.uniform(*cfg.gamma_range))
-            yaw = float(rng.uniform(-math.pi, math.pi))
-            length = float(rng.uniform(*cfg.length_range))
-            width = float(rng.uniform(*cfg.width_range))
-            height = float(rng.uniform(*cfg.height_range))
+            z, gamma, yaw, length, width, height = rng.uniform(lows, highs).tolist()
             pose = BoxPose3D(
                 center=(z * math.tan(gamma), cfg.ground_y - height / 2.0, z),
                 dims=(length, width, height),
@@ -380,6 +380,21 @@ def ratio_sigmas(obs: KeyedgeObservation, noise: NoiseModel) -> dict[str, float]
         p, q = key[2], key[3]
         out["sigma_" + key[2:]] = ratios[key] * s * math.sqrt(1.0 / h[p] ** 2 + 1.0 / h[q] ** 2)
     return out
+
+
+def observe_scene(cfg: SceneConfig, intr: CameraIntrinsics, noise: NoiseModel):
+    """(pose, observation, sigmas) per object of the scene, in object order.
+
+    Each pose of generate_scene is projected, perturbed and given its ratio
+    sigmas (None when the noise model contributes none).  The noise draws
+    come in object order from a second stream of the scene seed,
+    SeedSequence(seed, spawn_key=(1,)), so clean and noisy runs share their
+    poses and noisy scenes stay prefix stable too.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(1,)))
+    for pose in generate_scene(cfg):
+        obs = perturb_heights(project_keyedges(pose, intr), noise, rng)
+        yield pose, obs, ratio_sigmas(obs, noise)
 
 
 def keyedge_bbox(

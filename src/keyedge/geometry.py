@@ -134,7 +134,7 @@ class BoxPose3D:
 
 @dataclass(frozen=True)
 class KeyedgeObservation:
-    """Per-keyedge depth, camera distance, visual height, and pixel column.
+    """Per-keyedge depth, camera distance, and visual height.
 
     Mappings are keyed by the letters in KEYEDGES.  Depths and distances
     describe the generating geometry and must be positive; heights are
@@ -145,10 +145,9 @@ class KeyedgeObservation:
     depths: Mapping[str, float]
     distances: Mapping[str, float]
     heights: Mapping[str, float]
-    columns: Mapping[str, float]
 
     def __post_init__(self):
-        for field in (self.depths, self.distances, self.heights, self.columns):
+        for field in (self.depths, self.distances, self.heights):
             if set(field) != set(KEYEDGES):
                 raise ValueError(f"expected keys {KEYEDGES}, got {sorted(field)}")
         for k in KEYEDGES:
@@ -231,16 +230,14 @@ def project_keyedges(pose: BoxPose3D, intr: CameraIntrinsics) -> KeyedgeObservat
     """
     corners, height = keyedge_positions(pose)
     f = intr.focal_length
-    cx, _ = intr.principal_point
-    depths, distances, heights, columns = {}, {}, {}, {}
+    depths, distances, heights = {}, {}, {}
     for k, (px, py, pz) in corners.items():
         if pz <= 0.0:
             raise NonPositiveDepth(f"keyedge {k} depth {pz} is not positive")
         depths[k] = pz
         distances[k] = math.hypot(px, py, pz)
         heights[k] = f * height / pz
-        columns[k] = cx + f * px / pz
-    return KeyedgeObservation(depths=depths, distances=distances, heights=heights, columns=columns)
+    return KeyedgeObservation(depths=depths, distances=distances, heights=heights)
 
 
 def keyedge_ratios(obs: KeyedgeObservation) -> dict[str, float]:

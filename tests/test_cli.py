@@ -110,6 +110,12 @@ class TestSynth:
         assert synth(a, *flags) == 0 and synth(b, *flags) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_noisy_prefix_stable_under_count(self, tmp_path):
+        short, long = tmp_path / "short.jsonl", tmp_path / "long.jsonl"
+        flags = ("--noise", "gaussian_height", "--sigma-px", "0.5")
+        assert synth(short, *flags, count=4) == 0 and synth(long, *flags, count=10) == 0
+        assert short.read_bytes().splitlines() == long.read_bytes().splitlines()[:4]
+
     def test_csv_mirror(self, tmp_path):
         out, mirror = tmp_path / "s.jsonl", tmp_path / "s.csv"
         assert synth(out, "--csv-out", mirror) == 0
@@ -167,6 +173,23 @@ class TestSolveFlow:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 5
         assert float(rows[0]["d_fusion"]) == read_jsonl(est)[0]["d_fusion"]
+
+    def test_csv_mirror_z_in_some_records(self, tmp_path):
+        # The header is solve's schema: z when any record carries it, else none.
+        scene, est, mirror = tmp_path / "s.jsonl", tmp_path / "e.jsonl", tmp_path / "e.csv"
+        assert synth(scene, count=2) == 0
+        records = read_jsonl(scene)
+        no_z = [f for f in SOLVE_FIELDS if f != "z"]
+        for without_z, fields, z_column in ((1, list(SOLVE_FIELDS), ["", repr(records[1]["z"])]),
+                                            (2, no_z, [None, None])):
+            # the first without_z records lose their z field
+            write_jsonl(scene, [{k: v for k, v in rec.items() if k != "z" or i >= without_z}
+                                for i, rec in enumerate(records)])
+            assert run("solve", "--in", scene, "--out", est, "--csv-out", mirror) == 0
+            with open(mirror, newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            assert list(rows[0]) == fields
+            assert [row.get("z") for row in rows] == z_column
 
     def test_csv_mirror_zero_records(self, tmp_path):
         src, est, mirror = tmp_path / "r.jsonl", tmp_path / "e.jsonl", tmp_path / "e.csv"
@@ -516,6 +539,12 @@ class TestExitCodes:
 
     def test_bad_depth_range(self, tmp_path):
         assert synth(tmp_path / "s.jsonl", "--depth-min", 10, "--depth-max", 5) == 2
+
+    @pytest.mark.parametrize("flags", [("--length-min=-1", "--length-max=0.5"),
+                                       ("--width-min=0",), ("--height-min=-1",)])
+    def test_non_positive_dims_range(self, tmp_path, capsys, flags):
+        assert synth(tmp_path / "s.jsonl", *flags) == 2
+        assert "_range must be positive" in capsys.readouterr().err
 
     def test_bad_quantum(self, tmp_path):
         assert synth(tmp_path / "s.jsonl", "--noise", "pixel_quantization",

@@ -23,6 +23,7 @@ from keyedge.dataio import (
     labels_to_ground_truth,
     min_tuple_distortion,
     object_record,
+    observe_scene,
     parse_calib,
     parse_label_file,
     perturb_heights,
@@ -234,10 +235,14 @@ class TestGenerateScene:
         assert generate_scene(self.cfg(count=0)) == []
 
     def test_prefix_stable_under_count(self):
-        # per-object substreams: extending the scene keeps earlier objects
-        long = generate_scene(self.cfg(count=10))
-        short = generate_scene(self.cfg(count=4))
-        assert long[:4] == short
+        # one pose stream drawn in object order, redraws included: extending
+        # the scene keeps earlier objects
+        for kw in ({}, dict(min_distortion=0.1, depth_range=(5.0, 30.0))):
+            long = generate_scene(self.cfg(count=10, **kw))
+            short = generate_scene(self.cfg(count=4, **kw))
+            assert long[:4] == short
+        # the rejecting scene redrew within the prefix: it is not the plain one
+        assert short != generate_scene(self.cfg(count=4, depth_range=(5.0, 30.0)))
 
     def test_ranges_respected(self):
         cfg = self.cfg(
@@ -275,6 +280,33 @@ class TestGenerateScene:
             self.cfg(depth_range=(-1.0, 5.0))
         with pytest.raises(ConfigError):
             self.cfg(count=-1)
+
+
+class TestObserveScene:
+    def test_streams_are_block_draws(self):
+        # The scheme: the poses are the pose stream's six uniforms per object
+        # (no redraws at these ranges) and the noise is the noise stream's
+        # four normals per object, so block draws give the same values.
+        cfg = SceneConfig(count=50, seed=42)
+        noise = NoiseModel(kind="gaussian_height", sigma_px=0.5)
+        observed = list(observe_scene(cfg, INTR, noise))
+        stream = [np.random.default_rng(np.random.SeedSequence(42, spawn_key=(key,))) for key in (0, 1)]
+        lows, highs = zip(cfg.depth_range, cfg.gamma_range, (-math.pi, math.pi),
+                          cfg.length_range, cfg.width_range, cfg.height_range)
+        draws = stream[0].uniform(lows, highs, size=(50, 6)).tolist()
+        deltas = stream[1].normal(0.0, 0.5, size=(50, 4)).tolist()
+        for (pose, obs, sigmas), (z, gamma, yaw, *dims), delta in zip(observed, draws, deltas):
+            assert (pose.z, pose.x, pose.yaw, list(pose.dims)) == (z, z * math.tan(gamma), yaw, dims)
+            clean = project_keyedges(pose, INTR).heights
+            assert [obs.heights[k] for k in "abcd"] == [clean[k] + d for k, d in zip("abcd", delta)]
+            assert sigmas == ratio_sigmas(obs, noise)
+
+    def test_clean_and_noisy_share_poses(self):
+        cfg = SceneConfig(count=20, seed=5)
+        clean = list(observe_scene(cfg, INTR, NoiseModel(kind="none")))
+        noisy = list(observe_scene(cfg, INTR, NoiseModel(kind="gaussian_height", sigma_px=0.5)))
+        assert [pose for pose, _, _ in clean] == [pose for pose, _, _ in noisy] == generate_scene(cfg)
+        assert all(obs == project_keyedges(pose, INTR) and sigmas is None for pose, obs, sigmas in clean)
 
 
 class TestPerturbHeights:
