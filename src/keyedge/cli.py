@@ -22,7 +22,6 @@ Exit codes: 0 success, 2 usage or configuration error, 3 parse error,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -32,67 +31,32 @@ from pathlib import Path
 import numpy as np
 
 from .dataio import (
-    RECORD_FIELDS,
-    SIGMA_KEYS,
+    LABELGEN_FIELDS,
     NOISE_KINDS,
+    PLAIN_FIELDS,
+    RECORD_FIELDS,
     ConfigError,
     NoiseModel,
     ParseError,
     SceneConfig,
-    iter_jsonl,
-    labels_to_ground_truth,
+    kitti_records,
     object_record,
     observe_scene,
-    parse_calib,
-    parse_label_file,
-    read_jsonl,
-    record_number,
-    record_ratios,
-    record_sigmas,
+    read_detections,
+    read_ground_truth,
+    record_name,
     sigma_effective,
+    solve_columns,
+    solve_fields,
+    solved_rows,
     write_csv,
     write_jsonl,
 )
-from .geometry import (
-    KEYEDGES,
-    CameraIntrinsics,
-    NonPositiveDepth,
-    ZeroHeight,
-    keyedge_ratios,
-    wrap_turn,
-)
+from .geometry import CameraIntrinsics, NonPositiveDepth, ZeroHeight, keyedge_ratios, wrap_turn
 from .indexing import DegenerateObservation
-from .metrics import (
-    RECALL_POINTS,
-    DetectionRecord,
-    GroundTruthRecord,
-    NoGroundTruth,
-    arde,
-    arde_by_viewing_angle,
-)
-from .recovery import (
-    UNOBSERVABLE,
-    AllDegenerate,
-    UnobservableDistortion,
-    check_dims,
-)
+from .metrics import RECALL_POINTS, NoGroundTruth, arde, arde_by_viewing_angle
+from .recovery import AllDegenerate, UnobservableDistortion
 from .uncertainty import NonPositiveSigma, check_row, solve_batch
-
-THETA_FUSION_RULE = "weighted_circular_mean"
-
-PLAIN_FIELDS = tuple(f for f in RECORD_FIELDS if f not in SIGMA_KEYS)
-
-LABELGEN_FIELDS = (*PLAIN_FIELDS, "frame")
-
-PER_TUPLE_FIELDS = ("theta", "d_obj", "sigma_d", "weight")
-
-# "z" is dropped when records exist and none carries it.
-SOLVE_FIELDS = (
-    "index", "class_name", "z", "length", "width",
-    "d_fusion", "theta_fusion", "theta_fusion_rule",
-    *(f"{name}_{ref}" for ref in KEYEDGES for name in PER_TUPLE_FIELDS),
-    "skipped",
-)
 
 SENSITIVITY_FIELDS = (
     "noise_kind", "noise_param",
@@ -293,136 +257,28 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
-def _label_calib_pairs(labels: Path, calib: Path) -> list[tuple[Path, Path]]:
-    label_files = sorted(labels.glob("*.txt")) if labels.is_dir() else [labels]
-    if not label_files:
-        raise FileNotFoundError(f"no .txt label files under {labels}")
-    pairs = []
-    for label_file in label_files:
-        calib_file = calib / label_file.name if calib.is_dir() else calib
-        if not calib_file.is_file():
-            raise FileNotFoundError(f"no calib file for {label_file.name}: {calib_file}")
-        pairs.append((label_file, calib_file))
-    return pairs
-
-
-def _frame(label_file: Path) -> int | str:
-    """The frame a label file describes: its stem, as an integer when all digits."""
-    stem = label_file.stem
-    return int(stem) if stem.isascii() and stem.isdigit() else stem
-
-
 def _cmd_labelgen(args: argparse.Namespace) -> int:
     _check_paths(args, (("--labels", args.labels), ("--calib", args.calib)))
-    records = []
-    for label_file, calib_file in _label_calib_pairs(args.labels, args.calib):
-        try:
-            intr = parse_calib(calib_file.read_text(encoding="utf-8"))
-        except ParseError as err:  # NonPositiveFocal included
-            raise ParseError(f"{calib_file}: {err}") from None
-        try:
-            labels = parse_label_file(label_file.read_text(encoding="utf-8"))
-            if args.skip_hard:
-                labels = [lab for lab in labels if not lab.is_hard]
-            gts = labels_to_ground_truth(labels, intr)
-        except ParseError as err:  # BehindCamera included
-            raise ParseError(f"{label_file}: {err}") from None
-        frame = _frame(label_file)
-        for gt in gts:
-            rec = object_record(len(records), gt.label.class_name, gt.pose, intr, gt.observation)
-            rec["frame"] = frame
-            records.append(rec)
+    records = kitti_records(args.labels, args.calib, args.skip_hard)
     _write_records(args, lambda: records, LABELGEN_FIELDS, "wrote")
     return 0
 
 
-def _solve_columns(records) -> tuple[list[dict], tuple]:
-    """solve_batch's columns from solve's records, each checked in turn.
-
-    Returns the fields each output row echoes and the columns (R, S, L, W);
-    S holds NaN for a record without sigma fields.
-    """
-    heads, ratios, sigmas = [], [], []
-    for pos, rec in enumerate(records):
-        try:
-            ratios.append(record_ratios(rec))
-            sigmas.append(record_sigmas(rec) or [math.nan] * 4)
-            dims = {key: record_number(rec, key) for key in ("length", "width")}
-            check_dims(**dims)
-        except KeyError as err:
-            raise ParseError(f"record {pos} (index {rec.get('index')}): "
-                             f"record missing field {err.args[0]!r}") from None
-        except ValueError as err:
-            raise ParseError(f"record {pos} (index {rec.get('index')}): bad record value: {err}") from None
-        head = {"index": rec.get("index"), "class_name": rec.get("class_name", "")}
-        if "z" in rec:
-            head["z"] = rec["z"]  # ground truth echoed through for evaluation
-        heads.append({**head, **dims})
-    lengths, widths = ([head[key] for head in heads] for key in ("length", "width"))
-    return heads, (np.reshape(ratios, (-1, 4)), np.reshape(sigmas, (-1, 4)), lengths, widths)
-
-
-def _solved_rows(heads: list[dict], batch):
-    """solve's output rows, one per record, from the kernel's arrays."""
-    per_tuple = np.stack([batch.pose.theta, batch.pose.d_obj, batch.sigma_d, batch.weight], axis=2)
-    fused = zip(batch.d_fusion.tolist(), batch.theta_fusion.tolist(), batch.pose.observable.tolist())
-    for head, (d_fusion, theta_fusion, observable), values in zip(heads, fused, per_tuple):
-        row = {**head, "d_fusion": d_fusion, "theta_fusion": theta_fusion,
-               "theta_fusion_rule": THETA_FUSION_RULE}
-        for ref, ok, tuple_values in zip(KEYEDGES, observable, values.tolist()):
-            row.update((f"{name}_{ref}", v if ok else None) for name, v in zip(PER_TUPLE_FIELDS, tuple_values))
-        row["skipped"] = ";".join(f"{ref}:{UNOBSERVABLE}" for ref, ok in zip(KEYEDGES, observable) if not ok)
-        yield row
-
-
 def _cmd_solve(args: argparse.Namespace) -> int:
     _check_paths(args, (("--in", args.input_path),))
-    heads, columns = _solve_columns(iter_jsonl(args.input_path))
+    heads, columns = solve_columns(args.input_path)
     batch = solve_batch(*columns)
     for row in np.flatnonzero(batch.failed)[:1].tolist():
         try:
             check_row(batch, row)
         except DEGENERACY_ERRORS as err:
-            raise type(err)(f"record {row} (index {heads[row]['index']}): {err}") from None
-    has_z = not heads or any("z" in head for head in heads)
-    fields = SOLVE_FIELDS if has_z else tuple(f for f in SOLVE_FIELDS if f != "z")
-    _write_records(args, lambda: _solved_rows(heads, batch), fields, "solved")
+            raise type(err)(f"{record_name(row, heads[row])}: {err}") from None
+    _write_records(args, lambda: solved_rows(heads, batch), solve_fields(heads), "solved")
     return 0
 
 
 # ---------------------------------------------------------------------------
 # ARDE report.
-
-
-def _read_boxes(path: Path, kind: str, make) -> list:
-    """make(rec, bbox) for each record; a bad one is named by kind and 0-based position."""
-    boxes = []
-    for pos, rec in enumerate(read_jsonl(path)):
-        try:
-            bbox = tuple(record_number(rec, f"bbox_{side}") for side in ("left", "top", "right", "bottom"))
-            boxes.append(make(rec, bbox))
-        except KeyError as err:
-            raise ParseError(f"{kind} {pos}: missing field {err.args[0]!r}") from None
-        except (TypeError, ValueError) as err:
-            raise ParseError(f"{kind} {pos}: {err}") from None
-    return boxes
-
-
-def _detection(rec: dict, bbox: tuple) -> DetectionRecord:
-    return DetectionRecord(
-        bbox2d=bbox,
-        confidence=record_number(rec, "confidence"),
-        d_est=record_number(rec, "d_est"),
-        gamma_est=None if rec.get("gamma_est") is None else record_number(rec, "gamma_est"),
-        frame=rec.get("frame"),
-    )
-
-
-def _ground_truth(rec: dict, bbox: tuple) -> GroundTruthRecord:
-    return GroundTruthRecord(
-        bbox2d=bbox, d_gt=record_number(rec, "z"), gamma_gt=record_number(rec, "gamma"),
-        frame=rec.get("frame"),
-    )
 
 
 def _cmd_eval_arde(args: argparse.Namespace) -> int:
@@ -434,8 +290,8 @@ def _cmd_eval_arde(args: argparse.Namespace) -> int:
         _edge_pairs(deg, "--bin-edges-deg")
         bin_edges = [math.radians(v) for v in deg]
     _check_paths(args, (("--detections", args.detections), ("--ground-truth", args.ground_truth)))
-    dets = _read_boxes(args.detections, "detection", _detection)
-    gts = _read_boxes(args.ground_truth, "ground truth", _ground_truth)
+    dets = read_detections(args.detections)
+    gts = read_ground_truth(args.ground_truth)
     value = arde(dets, gts, args.iou_min)
     report = {
         "arde": value,
@@ -509,11 +365,9 @@ def _cmd_sensitivity(args: argparse.Namespace) -> int:
                     gamma_range=(math.radians(glo), math.radians(ghi)),
                 )
                 errors = _trial_errors(cell, intr, noise)
-                rows.append((noise.kind, param, *band, glo, ghi, args.trials, *errors))
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SENSITIVITY_FIELDS)
-        writer.writerows(rows)
+                rows.append(dict(zip(SENSITIVITY_FIELDS,
+                                     (noise.kind, param, *band, glo, ghi, args.trials, *errors))))
+    write_csv(args.out, rows, fields=SENSITIVITY_FIELDS)
     print(f"wrote {len(rows)} cells to {args.out}")
     return 0
 

@@ -18,6 +18,9 @@ ratios keyed "r_ab" etc. and the group as an integer; CSV export mirrors
 the same schema.  Noise is applied in pixel space on keyedge heights, not
 on ratios, because that is where measurement error physically arises;
 ratio sigmas are then first-order propagated from the per-height sigma.
+
+Every record format lives here, solve's rows (SOLVE_FIELDS) included, and
+one loop, parse_records, reads solve's and eval-arde's inputs.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -43,6 +47,10 @@ from .geometry import (
     viewing_angle,
 )
 from .indexing import RatioTuple, allocentric_group, object_centric_tuples, reference_pairs
+from .metrics import DetectionRecord, GroundTruthRecord
+from .recovery import UNOBSERVABLE, check_dims
+
+BBOX_FIELDS = ("bbox_left", "bbox_top", "bbox_right", "bbox_bottom")
 
 # Flat record schema; the four sigma fields appear only when noise is active.
 RECORD_FIELDS = (
@@ -51,10 +59,27 @@ RECORD_FIELDS = (
     "r_ab", "r_bc", "r_cd", "r_da",
     "h_a", "h_b", "h_c", "h_d",
     "d_a", "d_b", "d_c", "d_d",
-    "bbox_left", "bbox_top", "bbox_right", "bbox_bottom",
+    *BBOX_FIELDS,
     "sigma_ab", "sigma_bc", "sigma_cd", "sigma_da",
 )
 SIGMA_KEYS = ("sigma_ab", "sigma_bc", "sigma_cd", "sigma_da")
+
+PLAIN_FIELDS = tuple(f for f in RECORD_FIELDS if f not in SIGMA_KEYS)
+
+# labelgen's records also name the frame their label file describes
+LABELGEN_FIELDS = (*PLAIN_FIELDS, "frame")
+
+THETA_FUSION_RULE = "weighted_circular_mean"
+
+PER_TUPLE_FIELDS = ("theta", "d_obj", "sigma_d", "weight")
+
+# solve's rows; solve_fields drops "z" when records exist and none carries it.
+SOLVE_FIELDS = (
+    "index", "class_name", "z", "length", "width",
+    "d_fusion", "theta_fusion", "theta_fusion_rule",
+    *(f"{name}_{ref}" for ref in KEYEDGES for name in PER_TUPLE_FIELDS),
+    "skipped",
+)
 
 LABEL_FIELD_COUNT = 15
 MIN_HEIGHT_PX = 0.1  # clamp floor for perturbed heights
@@ -78,7 +103,7 @@ class NonPositiveFocal(ParseError):
 
 
 class BehindCamera(ParseError):
-    """A label places its object at z <= 0."""
+    """A label places its object's center or one of its keyedges at z <= 0."""
 
 
 class ConfigError(ValueError):
@@ -183,19 +208,17 @@ def parse_calib(text: str) -> CameraIntrinsics:
 
 @dataclass(frozen=True)
 class GroundTruthObject:
-    """A label lifted into the pose convention with its derived quantities."""
+    """A label lifted into the pose convention with its projected keyedges."""
 
     pose: BoxPose3D
     observation: KeyedgeObservation
-    tuples: tuple[RatioTuple, ...]
-    group: int
     label: KittiLabel
 
 
 def labels_to_ground_truth(
     labels: list[KittiLabel], intr: CameraIntrinsics
 ) -> list[GroundTruthObject]:
-    """Project labels into ground-truth ratio tuples; DontCare rows skipped."""
+    """Project labels into ground-truth observations; DontCare rows skipped."""
     out = []
     for label in labels:
         if label.is_dontcare:
@@ -205,18 +228,50 @@ def labels_to_ground_truth(
         if z <= 0.0:
             raise BehindCamera(f"label {label.class_name} at z={z}", line=label.line, field=14)
         pose = BoxPose3D(center=(x, y_bottom - h / 2.0, z), dims=(l, w, h), yaw=label.rotation_y)
-        obs = project_keyedges(pose, intr)
-        alpha = normalize_angle(pose.yaw - viewing_angle(pose.center))
-        out.append(
-            GroundTruthObject(
-                pose=pose,
-                observation=obs,
-                tuples=object_centric_tuples(keyedge_ratios(obs)),
-                group=allocentric_group(alpha),
-                label=label,
-            )
-        )
+        try:
+            obs = project_keyedges(pose, intr)
+        except NonPositiveDepth as err:
+            raise BehindCamera(f"label {label.class_name}: {err}", line=label.line) from None
+        out.append(GroundTruthObject(pose=pose, observation=obs, label=label))
     return out
+
+
+def kitti_records(labels: Path, calib: Path, skip_hard: bool = False) -> list[dict]:
+    """labelgen's records (LABELGEN_FIELDS) of KITTI label files and their calibration.
+
+    In directories, each *.txt label file pairs with the calib file of its
+    name, and every pair must exist before any is read.  skip_hard drops
+    the labels KittiLabel.is_hard flags.  A record's frame is its label
+    file's stem, as an integer when all digits.  A parse error names the
+    file at fault.
+    """
+    label_files = sorted(labels.glob("*.txt")) if labels.is_dir() else [labels]
+    if not label_files:
+        raise FileNotFoundError(f"no .txt label files under {labels}")
+    pairs = []
+    for label_file in label_files:
+        calib_file = calib / label_file.name if calib.is_dir() else calib
+        if not calib_file.is_file():
+            raise FileNotFoundError(f"no calib file for {label_file.name}: {calib_file}")
+        pairs.append((label_file, calib_file))
+    records = []
+    for label_file, calib_file in pairs:
+        try:
+            intr = parse_calib(calib_file.read_text(encoding="utf-8"))
+        except ParseError as err:  # NonPositiveFocal included
+            raise ParseError(f"{calib_file}: {err}") from None
+        try:
+            kitti = parse_label_file(label_file.read_text(encoding="utf-8"))
+            gts = labels_to_ground_truth([lab for lab in kitti if not (skip_hard and lab.is_hard)], intr)
+        except ParseError as err:  # BehindCamera included
+            raise ParseError(f"{label_file}: {err}") from None
+        stem = label_file.stem
+        frame = int(stem) if stem.isascii() and stem.isdigit() else stem
+        for gt in gts:
+            rec = object_record(len(records), gt.label.class_name, gt.pose, intr, gt.observation)
+            rec["frame"] = frame
+            records.append(rec)
+    return records
 
 
 def _check_range(name: str, lo: float, hi: float) -> None:
@@ -433,7 +488,7 @@ def object_record(
     """
     gamma = viewing_angle(pose.center)
     alpha = normalize_angle(pose.yaw - gamma)
-    left, top, right, bottom = keyedge_bbox(pose, intr)
+    bbox = keyedge_bbox(pose, intr)
     rec = {
         "index": index,
         "class_name": class_name,
@@ -453,10 +508,7 @@ def object_record(
         rec[f"h_{k}"] = obs.heights[k]
     for k in KEYEDGES:
         rec[f"d_{k}"] = obs.depths[k]
-    rec["bbox_left"] = left
-    rec["bbox_top"] = top
-    rec["bbox_right"] = right
-    rec["bbox_bottom"] = bottom
+    rec.update(zip(BBOX_FIELDS, bbox))
     if sigmas:
         for key in SIGMA_KEYS:
             rec[key] = sigmas[key]
@@ -513,6 +565,103 @@ def record_ratio_sigmas(record: dict) -> dict[str, tuple[float, float]] | None:
     return dict(zip(KEYEDGES, pairs))
 
 
+def record_name(pos: int, record: dict) -> str:
+    """How solve names a record in an error: its 0-based position and its index field."""
+    return f"record {pos} (index {record.get('index')})"
+
+
+def parse_records(records, parse, name) -> list:
+    """parse(rec) for each record, in order; a bad record is named by name(pos, rec).
+
+    A missing field raises ParseError("<name>: missing field 'k'"), and a
+    TypeError or ValueError raised by parse raises ParseError("<name>: <reason>").
+    """
+    parsed = []
+    for pos, rec in enumerate(records):
+        try:
+            parsed.append(parse(rec))
+        except KeyError as err:
+            raise ParseError(f"{name(pos, rec)}: missing field {err.args[0]!r}") from None
+        except (TypeError, ValueError) as err:
+            raise ParseError(f"{name(pos, rec)}: {err}") from None
+    return parsed
+
+
+def _solve_input(rec: dict) -> tuple[dict, list[float], list[float]]:
+    """A solve record's echoed fields, its ratios and its sigmas (NaN when it carries none)."""
+    ratios = record_ratios(rec)
+    sigmas = record_sigmas(rec) or [math.nan] * 4
+    dims = {key: record_number(rec, key) for key in ("length", "width")}
+    check_dims(**dims)
+    head = {"index": rec.get("index"), "class_name": rec.get("class_name", "")}
+    if "z" in rec:
+        head["z"] = rec["z"]  # ground truth echoed through for evaluation
+    return {**head, **dims}, ratios, sigmas
+
+
+def solve_columns(path) -> tuple[list[dict], tuple]:
+    """solve_batch's columns from the records of a JSON-lines file, each checked in turn.
+
+    Returns the fields each output row echoes and the columns (R, S, L, W);
+    S holds NaN for a record without sigma fields.
+    """
+    parsed = parse_records(iter_jsonl(path), _solve_input, record_name)
+    heads, ratios, sigmas = zip(*parsed) if parsed else ((), (), ())
+    lengths, widths = ([head[key] for head in heads] for key in ("length", "width"))
+    return list(heads), (np.reshape(ratios, (-1, 4)), np.reshape(sigmas, (-1, 4)), lengths, widths)
+
+
+def solve_fields(heads: list[dict]) -> tuple[str, ...]:
+    """SOLVE_FIELDS for rows with these heads: without "z" when heads exist and none carries it."""
+    if not heads or any("z" in head for head in heads):
+        return SOLVE_FIELDS
+    return tuple(f for f in SOLVE_FIELDS if f != "z")
+
+
+def solved_rows(heads: list[dict], batch):
+    """solve's output rows, one per record, from the kernel's arrays."""
+    per_tuple = np.stack([batch.pose.theta, batch.pose.d_obj, batch.sigma_d, batch.weight], axis=2)
+    fused = zip(batch.d_fusion.tolist(), batch.theta_fusion.tolist(), batch.pose.observable.tolist())
+    for head, (d_fusion, theta_fusion, observable), values in zip(heads, fused, per_tuple):
+        row = {**head, "d_fusion": d_fusion, "theta_fusion": theta_fusion,
+               "theta_fusion_rule": THETA_FUSION_RULE}
+        for ref, ok, tuple_values in zip(KEYEDGES, observable, values.tolist()):
+            row.update((f"{name}_{ref}", v if ok else None) for name, v in zip(PER_TUPLE_FIELDS, tuple_values))
+        row["skipped"] = ";".join(f"{ref}:{UNOBSERVABLE}" for ref, ok in zip(KEYEDGES, observable) if not ok)
+        yield row
+
+
+def _bbox(rec: dict) -> tuple[float, float, float, float]:
+    return tuple(record_number(rec, key) for key in BBOX_FIELDS)
+
+
+def _detection(rec: dict) -> DetectionRecord:
+    return DetectionRecord(
+        bbox2d=_bbox(rec),
+        confidence=record_number(rec, "confidence"),
+        d_est=record_number(rec, "d_est"),
+        gamma_est=None if rec.get("gamma_est") is None else record_number(rec, "gamma_est"),
+        frame=rec.get("frame"),
+    )
+
+
+def _ground_truth(rec: dict) -> GroundTruthRecord:
+    return GroundTruthRecord(
+        bbox2d=_bbox(rec), d_gt=record_number(rec, "z"), gamma_gt=record_number(rec, "gamma"),
+        frame=rec.get("frame"),
+    )
+
+
+def read_detections(path) -> list[DetectionRecord]:
+    """eval-arde's detections; a bad one is named "detection <0-based position>"."""
+    return parse_records(read_jsonl(path), _detection, lambda pos, _: f"detection {pos}")
+
+
+def read_ground_truth(path) -> list[GroundTruthRecord]:
+    """eval-arde's ground truth; a bad one is named "ground truth <0-based position>"."""
+    return parse_records(read_jsonl(path), _ground_truth, lambda pos, _: f"ground truth {pos}")
+
+
 def write_jsonl(path, records) -> int:
     """One JSON object per line, UTF-8, LF terminated; returns the number written."""
     count = 0
@@ -543,12 +692,8 @@ def read_jsonl(path) -> list[dict]:
     return list(iter_jsonl(path))
 
 
-def write_csv(path, records, fields=None) -> None:
-    """CSV mirror of the JSON-lines schema, header row included."""
-    if fields is None:
-        if not records:
-            raise ValueError("fields is required when records is empty")
-        fields = list(records[0])
+def write_csv(path, records, fields) -> None:
+    """CSV of the records with header fields, the schema they follow; None is an empty cell."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=fields, lineterminator="\n")
         writer.writeheader()

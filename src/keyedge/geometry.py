@@ -81,7 +81,6 @@ class CameraIntrinsics:
 
     focal_length: float
     principal_point: tuple[float, float]
-    image_size: Optional[tuple[int, int]] = None
 
     def __post_init__(self):
         if not (math.isfinite(self.focal_length) and self.focal_length > 0.0):

@@ -295,7 +295,8 @@ def test_criterion_09_kitti_ingestion():
             residual = normalize_angle(label.rotation_y - (label.alpha + gamma))
             assert abs(residual) <= 1e-2
         for gt in labels_to_ground_truth(labels, intr):
-            estimates, _ = solve_all(gt.tuples, gt.pose.length, gt.pose.width)
+            tuples = object_centric_tuples(keyedge_ratios(gt.observation))
+            estimates, _ = solve_all(tuples, gt.pose.length, gt.pose.width)
             fused = fuse([(est, 1.0) for est in estimates])
             assert abs(fused.d_fusion - gt.pose.z) <= 1e-2 * gt.pose.z
             solved += 1

@@ -10,8 +10,10 @@ from pathlib import Path
 
 import pytest
 
-from keyedge.cli import LABELGEN_FIELDS, SENSITIVITY_FIELDS, SOLVE_FIELDS, main
-from keyedge.dataio import RECORD_FIELDS, read_jsonl, write_jsonl
+from keyedge.cli import SENSITIVITY_FIELDS, main
+from keyedge.dataio import (
+    BBOX_FIELDS, LABELGEN_FIELDS, PLAIN_FIELDS, RECORD_FIELDS, SOLVE_FIELDS, read_jsonl, write_jsonl,
+)
 from keyedge.geometry import normalize_angle
 from oracles import brute_force_arde
 
@@ -28,7 +30,6 @@ REPORT_WITHOUT_FRAMES = (
     b'    }\n  ]\n}\n'
 )
 REPO = Path(__file__).resolve().parent.parent
-PLAIN_FIELDS = [f for f in RECORD_FIELDS if not f.startswith("sigma_")]
 
 
 def run(*argv):
@@ -37,9 +38,6 @@ def run(*argv):
 
 def synth(out, *extra, count=20, seed=3):
     return run("synth", "--count", count, "--seed", seed, "--out", out, *extra)
-
-
-BBOX_FIELDS = ("bbox_left", "bbox_top", "bbox_right", "bbox_bottom")
 
 
 def label_line(x, y, z, h, w, l, ry):
@@ -83,7 +81,8 @@ class TestSynth:
         assert synth(out) == 0
         records = read_jsonl(out)
         assert len(records) == 20
-        assert list(records[0]) == PLAIN_FIELDS
+        assert list(records[0]) == list(PLAIN_FIELDS)
+        assert not any(f.startswith("sigma_") for f in PLAIN_FIELDS)
         for rec in records:
             assert 5.0 <= rec["z"] < 60.0
             assert abs(math.degrees(rec["gamma"])) <= 40.0
@@ -205,12 +204,13 @@ class TestSolveFlow:
         write_jsonl(src, [rec])
         assert run("solve", "--in", src, "--out", est) == 5
 
-    def test_missing_field_exit_3(self, tmp_path):
+    def test_missing_field_exit_3(self, tmp_path, capsys):
         rec = {"index": 0, "length": 4.0, "width": 2.0,
                "r_ab": 1.1, "r_bc": 0.9, "r_cd": 1.05}  # r_da missing
         src, est = tmp_path / "r.jsonl", tmp_path / "e.jsonl"
         write_jsonl(src, [rec])
         assert run("solve", "--in", src, "--out", est) == 3
+        assert capsys.readouterr().err == "error: record 0 (index 0): missing field 'r_da'\n"
 
     @pytest.mark.parametrize("dims", [{"length": -4.0}, {"width": 0}, {"length": True},
                                       {"width": "1.5"}])
@@ -327,6 +327,15 @@ class TestLabelgen:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {labels}: ")
         assert "z=-5.0 (line 3, field 14)" in err
+        assert not out.exists()
+        # center at z 1 m in front, keyedge a 1 m behind the camera, on line 3
+        labels.write_text(label_line(0.0, 1.65, 10.0, 1.5, 1.8, 4.0, 0.5) + "\n"
+                          + label_line(0.5, 1.65, 1.0, 1.5, 1.6, 4.0, 1.57))
+        assert run("labelgen", "--labels", labels,
+                   "--calib", DATA / "calib" / "000001.txt", "--out", out) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {labels}: label Car: keyedge a depth -0.99")
+        assert err.endswith(" is not positive (line 3)\n")
         assert not out.exists()
 
     def test_non_positive_focal_exit_3(self, tmp_path, capsys):
@@ -470,11 +479,12 @@ class TestEvalArde:
                    "--out", tmp_path / "r.json") == 3
         assert "detection 1: confidence must be a number, got True" in capsys.readouterr().err
 
-    def test_missing_field_exit_3(self, tmp_path):
+    def test_missing_field_exit_3(self, tmp_path, capsys):
         det_path, gt_path = self.write_inputs(tmp_path)
         write_jsonl(det_path, [{**unit_box_fields(0, 0), "d_est": 10.0}])  # no confidence
         assert run("eval-arde", "--detections", det_path, "--ground-truth", gt_path,
                    "--out", tmp_path / "r.json") == 3
+        assert capsys.readouterr().err == "error: detection 0: missing field 'confidence'\n"
 
 
 class TestSensitivity:
@@ -625,10 +635,9 @@ class TestBenchTracer:
         )
         assert proc.returncode == 0, proc.stderr
 
-    def test_traced_eval_arde_counts_per_frame(self, tmp_path):
-        # The per-layer metrics of the benchmark's traced run: true positives
-        # of the overall matching, calls of the matcher and of iou_2d.
-        det_path, gt_path = write_two_frame_trap(tmp_path)
+    @staticmethod
+    def traced(*argv):
+        """The tracer's report of one CLI run under the benchmark's traced worker."""
         code = (
             "import json, sys; sys.path[:0] = [sys.argv[1], sys.argv[2]]; "
             "import keyedge, keyedge.cli, tracing; tracer = tracing.install(keyedge); "
@@ -636,14 +645,29 @@ class TestBenchTracer:
             "print(json.dumps({'rc': rc, **tracer.report()}))"
         )
         proc = subprocess.run(
-            [sys.executable, "-c", code, str(REPO / "src"), str(REPO / "bench"),
-             "eval-arde", "--detections", str(det_path), "--ground-truth", str(gt_path),
-             "--out", str(tmp_path / "r.json"), "--bin-edges-deg=-40,0,40"],
+            [sys.executable, "-c", code, str(REPO / "src"), str(REPO / "bench"), *map(str, argv)],
             capture_output=True, text=True,
         )
         assert proc.returncode == 0, proc.stderr
         trace = json.loads(proc.stdout.splitlines()[-1])
         assert trace["rc"] == 0
+        return trace
+
+    def test_traced_eval_arde_counts_per_frame(self, tmp_path):
+        # The per-layer metrics of the benchmark's traced run: true positives
+        # of the overall matching, calls of the matcher and of iou_2d.
+        det_path, gt_path = write_two_frame_trap(tmp_path)
+        trace = self.traced("eval-arde", "--detections", det_path, "--ground-truth", gt_path,
+                            "--out", tmp_path / "r.json", "--bin-edges-deg=-40,0,40")
+        assert trace["calls"]["dataio.read_jsonl"] == 2  # the record readers reach the span
         assert trace["counts"]["metrics.true_positives"] == 1  # 2 when pooled
         assert trace["calls"]["metrics.match_detections"] <= 2
         assert trace["counts"]["metrics.iou_2d"] > 0
+
+    def test_traced_labelgen_builds_through_spans(self, tmp_path):
+        # labelgen's record builder reaches the traced per-object span
+        trace = self.traced("labelgen", "--labels", DATA / "labels", "--calib", DATA / "calib",
+                            "--out", tmp_path / "gt.jsonl")
+        assert trace["calls"]["dataio.object_record"] == 6
+        assert trace["calls"]["dataio.labels_to_ground_truth"] == 2
+        assert trace["calls"]["dataio.parse_label_file"] == 2

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from keyedge.dataio import (
+    PLAIN_FIELDS,
     RECORD_FIELDS,
     ConfigError,
     BehindCamera,
@@ -187,7 +188,7 @@ class TestLabelsToGroundTruth:
         line = "Car 0.00 0 0.00 0 0 10 10 1.50 1.80 4.00 0.00 1.65 10.00 0.00"
         (label,) = parse_label_file(line)
         (gt,) = labels_to_ground_truth([label], INTR)
-        assert gt.group == 2
+        assert object_record(0, "Car", gt.pose, INTR, gt.observation)["group"] == 2
         view = camera_centric_view(gt.observation)
         assert view.nearest == "b"
         assert view.r21 == pytest.approx(1.0, abs=1e-12)        # d_b == d_c
@@ -197,17 +198,11 @@ class TestLabelsToGroundTruth:
         for name in ("000001.txt", "000002.txt"):
             _, gts = self.fixture_objects(name)
             for gt in gts:
-                estimates, skipped = solve_all(gt.tuples, gt.pose.length, gt.pose.width)
+                tuples = object_centric_tuples(keyedge_ratios(gt.observation))
+                estimates, skipped = solve_all(tuples, gt.pose.length, gt.pose.width)
                 assert not skipped
                 for est in estimates:
                     assert est.d_obj == pytest.approx(gt.pose.z, rel=1e-6)
-
-    def test_group_matches_derived_alpha(self):
-        _, gts = self.fixture_objects()
-        for gt in gts:
-            gamma = viewing_angle(gt.pose.center)
-            alpha = normalize_angle(gt.pose.yaw - gamma)
-            assert gt.group == allocentric_group(alpha)
 
     def test_behind_camera(self):
         line = "Car 0.00 0 0.00 0 0 10 10 1.50 1.80 4.00 0.00 1.65 -4.00 0.00"
@@ -479,7 +474,7 @@ class TestSerialization:
     def test_csv_mirrors_schema(self, tmp_path):
         records = self.records()
         path = tmp_path / "scene.csv"
-        write_csv(path, records)
+        write_csv(path, records, PLAIN_FIELDS)
         with open(path, newline="", encoding="utf-8") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == len(records)
