@@ -22,7 +22,6 @@ Exit codes: 0 success, 2 usage or configuration error, 3 parse error,
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from dataclasses import asdict, replace
@@ -40,19 +39,19 @@ from .dataio import (
     ParseError,
     SceneConfig,
     kitti_records,
-    object_record,
     observe_scene,
     read_detections,
     read_ground_truth,
     record_name,
-    sigma_effective,
+    scene_records,
     solve_columns,
     solve_fields,
     solved_rows,
     write_csv,
+    write_json,
     write_jsonl,
 )
-from .geometry import CameraIntrinsics, NonPositiveDepth, ZeroHeight, keyedge_ratios, wrap_turn
+from .geometry import CameraIntrinsics, NonPositiveDepth, ZeroHeight, wrap_turn
 from .indexing import DegenerateObservation
 from .metrics import RECALL_POINTS, NoGroundTruth, arde, arde_by_viewing_angle
 from .recovery import AllDegenerate, UnobservableDistortion
@@ -250,9 +249,9 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     noise = NoiseModel(kind=args.noise, sigma_px=args.sigma_px, quantum_px=args.quantum_px)
     intr = _intrinsics(args)
     _check_paths(args)
-    records = [object_record(i, args.class_name, pose, intr, obs, sigmas=sigmas)
-               for i, (pose, obs, sigmas) in enumerate(observe_scene(scene, intr, noise))]
-    fields = RECORD_FIELDS if sigma_effective(noise) else PLAIN_FIELDS
+    observed = observe_scene(scene, intr, noise)
+    records = scene_records(observed, intr, args.class_name)
+    fields = PLAIN_FIELDS if observed.sigmas is None else RECORD_FIELDS
     _write_records(args, lambda: records, fields, "wrote")
     return 0
 
@@ -302,9 +301,7 @@ def _cmd_eval_arde(args: argparse.Namespace) -> int:
     }
     if bin_edges is not None:
         report["bins"] = [asdict(b) for b in arde_by_viewing_angle(dets, gts, args.iou_min, bin_edges)]
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
+    write_json(args.out, report)
     print(f"arde {value} over {len(dets)} detections, {len(gts)} ground truths")
     return 0
 
@@ -319,15 +316,11 @@ def _trial_errors(scene: SceneConfig, intr: CameraIntrinsics, noise: NoiseModel)
     The scene's observed ratios and sigmas go to one solve_batch call as
     columns.  A trial fails where it fuses nothing.
     """
-    poses, observations, sigmas = zip(*observe_scene(scene, intr, noise))
-    ratios = [list(keyedge_ratios(obs).values()) for obs in observations]
-    S = None if sigmas[0] is None else [list(s.values()) for s in sigmas]
-    z, yaw, length, width = (np.array([getattr(pose, name) for pose in poses])
-                             for name in ("z", "yaw", "length", "width"))
-    batch = solve_batch(ratios, S, length, width)
+    observed = observe_scene(scene, intr, noise)
+    batch = solve_batch(observed.ratios, observed.sigmas, observed.length, observed.width)
     ok = ~batch.failed
-    rel_depth = (abs(batch.d_fusion - z) / z)[ok]
-    abs_yaw = abs(wrap_turn(batch.theta_fusion - yaw))[ok]
+    rel_depth = (abs(batch.d_fusion - observed.z) / observed.z)[ok]
+    abs_yaw = abs(wrap_turn(batch.theta_fusion - observed.yaw))[ok]
 
     def stats(values):
         if not len(values):

@@ -19,8 +19,15 @@ the same schema.  Noise is applied in pixel space on keyedge heights, not
 on ratios, because that is where measurement error physically arises;
 ratio sigmas are then first-order propagated from the per-height sigma.
 
+Synthetic scenes are columns: observe_scene draws a scene's poses and noise
+in blocks and returns its SceneColumns, which synth's records
+(scene_records) and the sensitivity grid read.  generate_scene,
+perturb_heights and ratio_sigmas are views of its stages for callers that
+want objects.
+
 Every record format lives here, solve's rows (SOLVE_FIELDS) included, and
-one loop, parse_records, reads solve's and eval-arde's inputs.
+one loop, parse_records, reads solve's and eval-arde's inputs.  Every
+writer replaces its target only once the whole file is written.
 """
 
 from __future__ import annotations
@@ -28,8 +35,11 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,13 +50,17 @@ from .geometry import (
     CameraIntrinsics,
     KeyedgeObservation,
     NonPositiveDepth,
+    corner_columns,
     keyedge_positions,
     keyedge_ratios,
     normalize_angle,
     project_keyedges,
     viewing_angle,
+    wrap_turn,
 )
-from .indexing import RatioTuple, allocentric_group, object_centric_tuples, reference_pairs
+from .indexing import (
+    QUARTER_EDGES, RatioTuple, allocentric_group, object_centric_tuples, reference_pairs,
+)
 from .metrics import DetectionRecord, GroundTruthRecord
 from .recovery import UNOBSERVABLE, check_dims
 
@@ -83,6 +97,8 @@ SOLVE_FIELDS = (
 
 LABEL_FIELD_COUNT = 15
 MIN_HEIGHT_PX = 0.1  # clamp floor for perturbed heights
+# Column of each keyedge's clockwise neighbour in (N, 4) arrays: r_pq = h_p / h_q = d_q / d_p.
+NEXT_KEYEDGE = [1, 2, 3, 0]
 MAX_POSE_RETRIES = 100
 
 
@@ -311,58 +327,6 @@ class SceneConfig:
             raise ConfigError(f"min_distortion must be >= 0, got {self.min_distortion}")
 
 
-def min_tuple_distortion(pose: BoxPose3D) -> float:
-    """Worst conditioning over the four canonical tuples.
-
-    Each tuple's usable signal is max(|r1 - 1|, |r2 - 1|); the minimum over
-    tuples bounds how close any inversion comes to the degeneracy tolerance.
-    Requires every keyedge in front of the camera.
-    """
-    corners, _ = keyedge_positions(pose)
-    depth = [corners[k][2] for k in KEYEDGES]
-    # the stored ratios r_ab, r_bc, r_cd, r_da; r_pq = d_q / d_p
-    pairs, _ = reference_pairs([depth[(i + 1) % 4] / depth[i] for i in range(4)])
-    return min(max(abs(r1 - 1.0), abs(r2 - 1.0)) for r1, r2 in pairs)
-
-
-def generate_scene(cfg: SceneConfig) -> list[BoxPose3D]:
-    """Draw poses in object order from one stream of the scene seed.
-
-    The stream is SeedSequence(seed, spawn_key=(0,)).  Each draw takes six
-    uniforms (depth, viewing angle, yaw, length, width, height) and a redraw
-    continues the same stream, so object i depends only on objects 0..i-1
-    and scenes are prefix stable under count changes.  Poses with a keyedge
-    at z <= 0 are redrawn, as are poses under cfg.min_distortion when that
-    rejection is enabled; either way a single object gets at most
-    MAX_POSE_RETRIES draws.
-    """
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(0,)))
-    lows, highs = np.array([cfg.depth_range, cfg.gamma_range, (-math.pi, math.pi),
-                            cfg.length_range, cfg.width_range, cfg.height_range]).T
-    poses = []
-    for index in range(cfg.count):
-        for _ in range(MAX_POSE_RETRIES):
-            z, gamma, yaw, length, width, height = rng.uniform(lows, highs).tolist()
-            pose = BoxPose3D(
-                center=(z * math.tan(gamma), cfg.ground_y - height / 2.0, z),
-                dims=(length, width, height),
-                yaw=yaw,
-            )
-            corners, _ = keyedge_positions(pose)
-            if min(c[2] for c in corners.values()) <= 0.0:
-                continue
-            if cfg.min_distortion > 0.0 and min_tuple_distortion(pose) < cfg.min_distortion:
-                continue
-            poses.append(pose)
-            break
-        else:
-            raise ConfigError(
-                f"object {index}: no acceptable pose in {MAX_POSE_RETRIES} draws "
-                f"(min_distortion={cfg.min_distortion})"
-            )
-    return poses
-
-
 NOISE_KINDS = ("none", "gaussian_height", "pixel_quantization")
 
 
@@ -385,27 +349,142 @@ class NoiseModel:
             raise ConfigError("pixel_quantization requires quantum_px > 0")
 
 
+class SceneColumns(NamedTuple):
+    """A scene as columns, row i holding object i; what observe_scene returns.
+
+    x .. height are the (N,) pose columns.  depths, heights and ratios are
+    (N, 4), in KEYEDGES and RATIO_KEYS order; heights and ratios carry the
+    noise, depths stay geometric.  sigmas are the (N, 4) ratio sigmas in
+    SIGMA_KEYS order, None when the noise model contributes none.  redraws
+    counts the pose rows rejected before the N-th accepted one, clamped the
+    noisy heights raised to MIN_HEIGHT_PX.
+    """
+
+    x: np.ndarray
+    y: np.ndarray
+    z: np.ndarray
+    yaw: np.ndarray
+    length: np.ndarray
+    width: np.ndarray
+    height: np.ndarray
+    depths: np.ndarray
+    heights: np.ndarray
+    ratios: np.ndarray
+    sigmas: np.ndarray | None
+    redraws: int
+    clamped: int
+
+
+def min_tuple_distortion(depths: np.ndarray) -> np.ndarray:
+    """Worst conditioning over the four canonical tuples, per row of (N, 4) keyedge depths.
+
+    Each tuple's usable signal is max(|r1 - 1|, |r2 - 1|); the minimum over
+    tuples bounds how close any inversion comes to the degeneracy tolerance.
+    Requires every depth positive.
+    """
+    # the stored ratios r_ab, r_bc, r_cd, r_da; r_pq = d_q / d_p
+    pairs, _ = reference_pairs((depths[:, NEXT_KEYEDGE] / depths).T)
+    return np.minimum.reduce([np.maximum(abs(r1 - 1.0), abs(r2 - 1.0)) for r1, r2 in pairs])
+
+
+def _pose_columns(rows: np.ndarray, ground_y: float):
+    """x, y, z, yaw, length, width, height of (M, 6) pose draws."""
+    z, gamma, yaw, length, width, height = rows.T
+    return z * np.tan(gamma), ground_y - height / 2.0, z, yaw, length, width, height
+
+
+def _corners(x, z, yaw, length, width):
+    return corner_columns(x, z, np.sin(yaw), np.cos(yaw), length, width)
+
+
+def _draw_poses(cfg: SceneConfig) -> tuple[np.ndarray, np.ndarray, int]:
+    """The scene's (N, 6) pose rows, their (N, 4) keyedge depths and the rows rejected.
+
+    The rows (depth, viewing angle, yaw, length, width, height) come in
+    blocks of uniform(lows, highs, size=(M, 6)) from the pose stream,
+    SeedSequence(seed, spawn_key=(0,)), and the scene is the first count
+    accepted rows.  A row is rejected when a keyedge sits at z <= 0, or
+    below cfg.min_distortion when that rejection is enabled.  Each block is
+    as large as the objects still missing, so every row drawn is consumed.
+    A run of MAX_POSE_RETRIES rejections before an accepted row is a
+    ConfigError naming the object that run was drawn for.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(0,)))
+    lows, highs = np.array([cfg.depth_range, cfg.gamma_range, (-math.pi, math.pi),
+                            cfg.length_range, cfg.width_range, cfg.height_range]).T
+    blocks, accepted, drawn, run = [], 0, 0, 0  # run: rejections since the last accepted row
+    while accepted < cfg.count:
+        rows = rng.uniform(lows, highs, size=(cfg.count - accepted, 6))
+        x, _, z, yaw, length, width, _ = _pose_columns(rows, cfg.ground_y)
+        depths = np.stack([cz for _, cz in _corners(x, z, yaw, length, width)], axis=1)
+        ok = depths.min(axis=1) > 0.0
+        if cfg.min_distortion > 0.0:
+            ok[ok] = min_tuple_distortion(depths[ok]) >= cfg.min_distortion
+        hits = np.flatnonzero(ok)
+        # the rejections before each accepted row, then those after the last
+        runs = np.diff(np.concatenate(([-1], hits, [len(rows)]))) - 1
+        runs[0] += run
+        failed = np.flatnonzero(runs >= MAX_POSE_RETRIES)
+        if failed.size:
+            raise ConfigError(
+                f"object {accepted + failed[0]}: no acceptable pose in {MAX_POSE_RETRIES} draws "
+                f"(min_distortion={cfg.min_distortion})"
+            )
+        blocks.append((rows[hits], depths[hits]))
+        accepted, drawn, run = accepted + hits.size, drawn + len(rows), int(runs[-1])
+    if not blocks:
+        return np.empty((0, 6)), np.empty((0, 4)), 0
+    rows, depths = (np.concatenate(parts) for parts in zip(*blocks))
+    return rows, depths, drawn - cfg.count
+
+
+def generate_scene(cfg: SceneConfig) -> list[BoxPose3D]:
+    """The scene's poses, in object order, read off the pose columns of observe_scene."""
+    rows, _, _ = _draw_poses(cfg)
+    columns = (column.tolist() for column in _pose_columns(rows, cfg.ground_y))
+    return [BoxPose3D(center=(x, y, z), dims=(length, width, height), yaw=yaw)
+            for x, y, z, yaw, length, width, height in zip(*columns)]
+
+
+def _noisy_heights(clean: np.ndarray, noise: NoiseModel, rng) -> tuple[np.ndarray, int]:
+    """(N, 4) clean heights under the noise model, and how many it raised to MIN_HEIGHT_PX.
+
+    Only gaussian_height draws from rng: one normal(0, sigma_px, (N, 4)) block.
+    """
+    if noise.kind == "none":
+        return clean, 0
+    if noise.kind == "gaussian_height":
+        noisy = clean + rng.normal(0.0, noise.sigma_px, size=clean.shape)
+    else:
+        q = noise.quantum_px
+        noisy = q * np.round(clean / q)
+    low = noisy < MIN_HEIGHT_PX
+    return np.where(low, MIN_HEIGHT_PX, noisy), int(low.sum())
+
+
+def _ratio_sigmas(ratios: np.ndarray, heights: np.ndarray, noise: NoiseModel) -> np.ndarray | None:
+    """(N, 4) ratio sigmas of (N, 4) ratios and heights; None when the noise model has no sigma."""
+    s = sigma_effective(noise)
+    if s == 0.0:
+        return None
+    inverse_square = 1.0 / heights ** 2
+    return ratios * s * np.sqrt(inverse_square + inverse_square[:, NEXT_KEYEDGE])
+
+
+def _heights_row(obs: KeyedgeObservation) -> np.ndarray:
+    return np.array([[obs.heights[k] for k in KEYEDGES]])
+
+
 def perturb_heights(
     obs: KeyedgeObservation, noise: NoiseModel, seed
 ) -> KeyedgeObservation:
     """Apply the noise model to the four heights; clamp to MIN_HEIGHT_PX.
 
-    seed may be an integer or a numpy Generator; only gaussian_height
-    consumes randomness.
+    A one-row view of observe_scene's noise stage.  seed may be an integer
+    or a numpy Generator; only gaussian_height consumes randomness.
     """
-    if noise.kind == "none":
-        return obs
-    if noise.kind == "gaussian_height":
-        rng = np.random.default_rng(seed)
-        draws = rng.normal(0.0, noise.sigma_px, size=len(KEYEDGES))
-        heights = {
-            k: max(obs.heights[k] + float(d), MIN_HEIGHT_PX)
-            for k, d in zip(KEYEDGES, draws)
-        }
-    else:
-        q = noise.quantum_px
-        heights = {k: max(q * round(obs.heights[k] / q), MIN_HEIGHT_PX) for k in KEYEDGES}
-    return replace(obs, heights=heights)
+    heights, _ = _noisy_heights(_heights_row(obs), noise, np.random.default_rng(seed))
+    return replace(obs, heights=dict(zip(KEYEDGES, heights[0].tolist())))
 
 
 def sigma_effective(noise: NoiseModel) -> float:
@@ -421,35 +500,31 @@ def sigma_effective(noise: NoiseModel) -> float:
 def ratio_sigmas(obs: KeyedgeObservation, noise: NoiseModel) -> dict[str, float] | None:
     """First-order ratio sigmas from independent per-height pixel noise.
 
-    sigma(r_pq) = r_pq * sigma_px * sqrt(1/h_p^2 + 1/h_q^2).  Returns None
-    when the noise model contributes nothing, in which case records carry
-    no sigma fields.
+    sigma(r_pq) = r_pq * sigma_px * sqrt(1/h_p^2 + 1/h_q^2), a one-row view
+    of observe_scene's sigma stage.  Returns None when the noise model
+    contributes nothing, in which case records carry no sigma fields.
     """
-    s = sigma_effective(noise)
-    if s == 0.0:
-        return None
-    ratios = keyedge_ratios(obs)
-    h = obs.heights
-    out = {}
-    for key in RATIO_KEYS:
-        p, q = key[2], key[3]
-        out["sigma_" + key[2:]] = ratios[key] * s * math.sqrt(1.0 / h[p] ** 2 + 1.0 / h[q] ** 2)
-    return out
+    ratios = np.array([list(keyedge_ratios(obs).values())])
+    sigmas = _ratio_sigmas(ratios, _heights_row(obs), noise)
+    return None if sigmas is None else dict(zip(SIGMA_KEYS, sigmas[0].tolist()))
 
 
-def observe_scene(cfg: SceneConfig, intr: CameraIntrinsics, noise: NoiseModel):
-    """(pose, observation, sigmas) per object of the scene, in object order.
+def observe_scene(cfg: SceneConfig, intr: CameraIntrinsics, noise: NoiseModel) -> SceneColumns:
+    """The scene of cfg drawn, projected, perturbed and given its ratio sigmas, as columns.
 
-    Each pose of generate_scene is projected, perturbed and given its ratio
-    sigmas (None when the noise model contributes none).  The noise draws
-    come in object order from a second stream of the scene seed,
-    SeedSequence(seed, spawn_key=(1,)), so clean and noisy runs share their
-    poses and noisy scenes stay prefix stable too.
+    The poses are the first cfg.count accepted rows of the pose stream (see
+    _draw_poses).  The keyedges project to h_i = f * height / d_i, and the
+    noise is one (N, 4) block of the noise stream,
+    SeedSequence(seed, spawn_key=(1,)).  So clean and noisy runs share
+    their poses, and scenes are prefix stable under count changes.
     """
+    rows, depths, redraws = _draw_poses(cfg)
+    x, y, z, yaw, length, width, height = _pose_columns(rows, cfg.ground_y)
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(1,)))
-    for pose in generate_scene(cfg):
-        obs = perturb_heights(project_keyedges(pose, intr), noise, rng)
-        yield pose, obs, ratio_sigmas(obs, noise)
+    heights, clamped = _noisy_heights(intr.focal_length * height[:, None] / depths, noise, rng)
+    ratios = heights / heights[:, NEXT_KEYEDGE]
+    return SceneColumns(x, y, z, yaw, length, width, height, depths, heights, ratios,
+                        _ratio_sigmas(ratios, heights, noise), redraws, clamped)
 
 
 def keyedge_bbox(
@@ -515,12 +590,46 @@ def object_record(
     return rec
 
 
+def scene_records(scene: SceneColumns, intr: CameraIntrinsics, class_name: str) -> list[dict]:
+    """synth's records, object_record's fields built from the scene's columns.
+
+    gamma is atan2(x, z), alpha is yaw - gamma wrapped to [-pi, pi), and the
+    box bounds the projected keyedges.  The records carry sigma fields
+    (RECORD_FIELDS) when the scene has sigmas, else PLAIN_FIELDS.
+    """
+    gamma = np.arctan2(scene.x, scene.z)
+    alpha = wrap_turn(scene.yaw - gamma)
+    # keyedge_bbox's pixel rows and columns, one keyedge per column
+    f, (cx, cy) = intr.focal_length, intr.principal_point
+    corners = _corners(scene.x, scene.z, scene.yaw, scene.length, scene.width)
+    bottom_y = (scene.y + scene.height / 2.0)[:, None]
+    us = cx + f * np.stack([px for px, _ in corners], axis=1) / scene.depths
+    v_bot = cy + f * bottom_y / scene.depths
+    v_top = cy + f * (bottom_y - scene.height[:, None]) / scene.depths
+    columns = [
+        scene.x, scene.y, scene.z, scene.length, scene.width, scene.height, scene.yaw, alpha, gamma,
+        np.searchsorted(QUARTER_EDGES, alpha, side="right"),
+        *scene.ratios.T, *scene.heights.T, *scene.depths.T,
+        us.min(axis=1), v_top.min(axis=1), us.max(axis=1), v_bot.max(axis=1),
+    ]
+    fields = PLAIN_FIELDS
+    if scene.sigmas is not None:
+        columns.extend(scene.sigmas.T)
+        fields = RECORD_FIELDS
+    rows = zip(*(column.tolist() for column in columns))
+    return [{"index": i, "class_name": class_name, **dict(zip(fields[2:], row))}
+            for i, row in enumerate(rows)]
+
+
 def record_number(record: dict, key: str) -> float:
     """record[key] as a float; a JSON value that is not a number is a ParseError."""
     value = record[key]
     if type(value) not in (int, float):
         raise ParseError(f"{key} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ParseError(f"{key} is beyond the float range") from None
 
 
 def record_ratios(record: dict) -> list[float]:
@@ -535,9 +644,10 @@ def record_ratios(record: dict) -> list[float]:
 def record_sigmas(record: dict) -> list[float] | None:
     """A record's four ratio sigmas in SIGMA_KEYS order, each finite and nonnegative.
 
-    Returns None when the record carries no sigma fields.
+    Returns None when the record carries no sigma fields; one that carries
+    some must carry all four.
     """
-    if SIGMA_KEYS[0] not in record:
+    if not any(key in record for key in SIGMA_KEYS):
         return None
     sigmas = [record_number(record, key) for key in SIGMA_KEYS]
     for key, s in zip(SIGMA_KEYS, sigmas):
@@ -662,10 +772,34 @@ def read_ground_truth(path) -> list[GroundTruthRecord]:
     return parse_records(read_jsonl(path), _ground_truth, lambda pos, _: f"ground truth {pos}")
 
 
+@contextmanager
+def _replacing(path, newline: str):
+    """A UTF-8 text file that takes path's place only when the with block completes.
+
+    It is written beside path and renamed over it, so a run that fails
+    partway leaves no partial file and any earlier file at path untouched.
+    A symbolic link keeps pointing at the new file.  A path that exists
+    but is no regular file, such as a pipe or a device, is written in place.
+    """
+    path = Path(path)
+    if path.exists() and not path.is_file():
+        with open(path, "w", encoding="utf-8", newline=newline) as fh:
+            yield fh
+        return
+    path = path.resolve()
+    temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(temp, "w", encoding="utf-8", newline=newline) as fh:
+            yield fh
+        os.replace(temp, path)
+    finally:
+        temp.unlink(missing_ok=True)
+
+
 def write_jsonl(path, records) -> int:
     """One JSON object per line, UTF-8, LF terminated; returns the number written."""
     count = 0
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _replacing(path, "\n") as fh:
         for rec in records:
             fh.write(json.dumps(rec) + "\n")
             count += 1
@@ -681,8 +815,8 @@ def iter_jsonl(path):
                 continue
             try:
                 rec = json.loads(line)
-            except json.JSONDecodeError as err:
-                raise ParseError(f"invalid JSON: {err.msg}", line=line_no) from None
+            except (ValueError, RecursionError) as err:  # also an overlong integer, or deep nesting
+                raise ParseError(f"invalid JSON: {getattr(err, 'msg', err)}", line=line_no) from None
             if not isinstance(rec, dict):
                 raise ParseError("expected a JSON object", line=line_no)
             yield rec
@@ -694,7 +828,14 @@ def read_jsonl(path) -> list[dict]:
 
 def write_csv(path, records, fields) -> None:
     """CSV of the records with header fields, the schema they follow; None is an empty cell."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _replacing(path, "") as fh:
         writer = csv.DictWriter(fh, fieldnames=fields, lineterminator="\n")
         writer.writeheader()
         writer.writerows(records)
+
+
+def write_json(path, obj) -> None:
+    """One JSON value, indented by two spaces, LF terminated."""
+    with _replacing(path, "\n") as fh:
+        json.dump(obj, fh, indent=2)
+        fh.write("\n")

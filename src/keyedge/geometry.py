@@ -192,20 +192,29 @@ def angle_convert(
     return AngleTriple(egocentric=theta, allocentric=alpha, viewing=gamma)
 
 
-def bev_corners(pose: BoxPose3D) -> dict[str, tuple[float, float]]:
-    """Bird's-eye-view (x, z) corners keyed a, b, c, d."""
-    sin_t, cos_t = math.sin(pose.yaw), math.cos(pose.yaw)
-    half_l, half_w = pose.length / 2.0, pose.width / 2.0
+def corner_columns(x, z, sin_t, cos_t, length, width):
+    """BEV (x, z) of the corners a, b, c, d, in that order.
+
+    Each argument is a float or a numpy column, since the arithmetic is
+    plain; sin_t and cos_t are the sine and cosine of the yaw.
+    """
+    half_l, half_w = length / 2.0, width / 2.0
     # front axis (cos, -sin), left axis (sin, cos)
     fx, fz = half_l * cos_t, -half_l * sin_t
     lx, lz = half_w * sin_t, half_w * cos_t
-    x, z = pose.x, pose.z
-    return {
-        "a": (x + fx + lx, z + fz + lz),
-        "b": (x + fx - lx, z + fz - lz),
-        "c": (x - fx - lx, z - fz - lz),
-        "d": (x - fx + lx, z - fz + lz),
-    }
+    return (
+        (x + fx + lx, z + fz + lz),
+        (x + fx - lx, z + fz - lz),
+        (x - fx - lx, z - fz - lz),
+        (x - fx + lx, z - fz + lz),
+    )
+
+
+def bev_corners(pose: BoxPose3D) -> dict[str, tuple[float, float]]:
+    """Bird's-eye-view (x, z) corners keyed a, b, c, d."""
+    a, b, c, d = corner_columns(pose.x, pose.z, math.sin(pose.yaw), math.cos(pose.yaw),
+                                pose.length, pose.width)
+    return {"a": a, "b": b, "c": c, "d": d}
 
 
 def keyedge_positions(pose: BoxPose3D) -> tuple[dict[str, tuple[float, float, float]], float]:

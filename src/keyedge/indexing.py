@@ -39,6 +39,7 @@ and the emitted group always matches the letter actually used.)
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Mapping
@@ -48,6 +49,8 @@ from .geometry import KEYEDGES, RATIO_KEYS, KeyedgeObservation, ZeroHeight, norm
 # Nearest keyedge letter for each allocentric group.
 NEAREST_BY_GROUP = ("d", "c", "b", "a")
 GROUP_BY_NEAREST = {letter: g for g, letter in enumerate(NEAREST_BY_GROUP)}
+# Lower edges of allocentric groups 1, 2 and 3; group 0 starts at -pi.
+QUARTER_EDGES = (-math.pi / 2.0, 0.0, math.pi / 2.0)
 
 DISTANCE_TIE_REL = 1e-9
 
@@ -64,17 +67,11 @@ class DegenerateObservation(ValueError):
 def allocentric_group(alpha: float) -> int:
     """Quarter index of alpha under the fixed partition of [-pi, pi).
 
-    Explicit comparisons keep the half-open boundaries exact; a floor of
+    The group is the number of QUARTER_EDGES at or below alpha.  Comparing
+    against the edges keeps the half-open boundaries exact; a floor of
     (alpha + pi) / (pi / 2) would absorb values tiny relative to pi.
     """
-    alpha = normalize_angle(alpha)
-    if alpha < -math.pi / 2.0:
-        return 0
-    if alpha < 0.0:
-        return 1
-    if alpha < math.pi / 2.0:
-        return 2
-    return 3
+    return bisect.bisect_right(QUARTER_EDGES, normalize_angle(alpha))
 
 
 def nearest_keyedge(distances: Mapping[str, float]) -> str:

@@ -132,6 +132,69 @@ def gate_records(n, seed):
 
 
 # ---------------------------------------------------------------------------
+# Synthetic scenes drawn one object at a time, independent of the package.
+
+
+def sequential_scene(cfg, focal, noise, max_retries, min_height):
+    """The scene of a SceneConfig under a NoiseModel, one object and one draw at a time.
+
+    Per object: six uniforms from the pose stream SeedSequence(seed,
+    spawn_key=(0,)), redrawn while a keyedge sits at z <= 0 or, with
+    cfg.min_distortion > 0, while the worst tuple's signal falls below it,
+    at most max_retries times; then four normals from the noise stream
+    SeedSequence(seed, spawn_key=(1,)) for gaussian_height, or rounding to
+    the quantum; heights below min_height are raised to it.  x takes
+    np.tan, and squares are products, as the block draws do.
+
+    Returns (objects, redraws, clamped): per object ((x, y, z, yaw, length,
+    width, height), depths, heights, ratios, sigmas or None), each a list
+    in a..d and r_ab..r_da order.  Raises ValueError("object <index>") when
+    an object finds no pose.
+    """
+    pose_rng, noise_rng = (np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(key,)))
+                           for key in (0, 1))
+    lows, highs = np.array([cfg.depth_range, cfg.gamma_range, (-math.pi, math.pi),
+                            cfg.length_range, cfg.width_range, cfg.height_range]).T
+    sigma = {"gaussian_height": noise.sigma_px,
+             "pixel_quantization": noise.quantum_px / math.sqrt(12.0)}.get(noise.kind, 0.0)
+    objects, redraws, clamped = [], 0, 0
+    for index in range(cfg.count):
+        for _ in range(max_retries):
+            z, gamma, yaw, length, width, height = pose_rng.uniform(lows, highs).tolist()
+            sin_t, cos_t = math.sin(yaw), math.cos(yaw)
+            front, left = -length / 2.0 * sin_t, width / 2.0 * cos_t
+            depths = [z + front + left, z + front - left, z - front - left, z - front + left]
+            if min(depths) <= 0.0:
+                redraws += 1
+                continue
+            r = [depths[(i + 1) % 4] / depths[i] for i in range(4)]
+            signal = min(max(abs(1.0 / r[i - 1] - 1.0), abs(r[i] - 1.0)) for i in range(4))
+            if cfg.min_distortion > 0.0 and signal < cfg.min_distortion:
+                redraws += 1
+                continue
+            break
+        else:
+            raise ValueError(f"object {index}")
+        heights = [focal * height / d for d in depths]
+        if noise.kind == "gaussian_height":
+            heights = [h + d for h, d in zip(heights, noise_rng.normal(0.0, noise.sigma_px, 4).tolist())]
+        elif noise.kind == "pixel_quantization":
+            heights = [noise.quantum_px * round(h / noise.quantum_px) for h in heights]
+        if noise.kind != "none":
+            clamped += sum(h < min_height for h in heights)
+            heights = [max(h, min_height) for h in heights]
+        ratios = [heights[i] / heights[(i + 1) % 4] for i in range(4)]
+        sigmas = None if sigma == 0.0 else [
+            ratios[i] * sigma * math.sqrt(1.0 / (heights[i] * heights[i])
+                                          + 1.0 / (heights[(i + 1) % 4] * heights[(i + 1) % 4]))
+            for i in range(4)
+        ]
+        pose = (z * float(np.tan(gamma)), cfg.ground_y - height / 2.0, z, yaw, length, width, height)
+        objects.append((pose, depths, heights, ratios, sigmas))
+    return objects, redraws, clamped
+
+
+# ---------------------------------------------------------------------------
 # Exhaustive ARDE sweep, independent of the package implementation.
 
 

@@ -9,6 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from keyedge.cli import SENSITIVITY_FIELDS, main
 from keyedge.dataio import (
@@ -135,6 +136,25 @@ class TestSynth:
         assert synth(out, "--csv-out", mirror, *noise, count=0) == 0
         assert out.read_bytes() == b""
         assert mirror.read_text() == ",".join(fields) + "\n"
+
+
+# The fields solve reads as numbers, and values it must refuse in them.
+SOLVE_NUMBERS = ("length", "width", "r_ab", "r_bc", "r_cd", "r_da",
+                 "sigma_ab", "sigma_bc", "sigma_cd", "sigma_da")
+MISSING = object()
+
+
+def bad_solve_value(field):
+    """A missing field, NaN, an infinity, a boolean, a string, null, another JSON type,
+    an integer beyond the float range, or a number out of the field's domain."""
+    anywhere = st.sampled_from([MISSING, math.nan, math.inf, -math.inf, True, False, None,
+                                "1.5", "", [1.0], {"v": 1.0}])
+    too_large = st.integers(min_value=2**1024, max_value=2**1100)
+    if field.startswith("sigma_"):  # a sigma may be 0
+        out_of_domain = st.floats(max_value=0.0, exclude_max=True) | st.integers(max_value=-1)
+    else:
+        out_of_domain = st.floats(max_value=0.0) | st.integers(max_value=0)
+    return anywhere | too_large | out_of_domain
 
 
 class TestSolveFlow:
@@ -276,6 +296,32 @@ class TestSolveFlow:
         write_jsonl(scene, records)
         assert run("solve", "--in", scene, "--out", est) == 3
         assert capsys.readouterr().err.startswith("error: record 3 (index 3): ")
+        assert not est.exists()
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_fuzzed_bad_value_exit_3(self, tmp_path, capsys, data):
+        # one field of one record gets a value solve must refuse, by name
+        pos = data.draw(st.integers(0, 3), label="pos")
+        field = data.draw(st.sampled_from(SOLVE_NUMBERS), label="field")
+        value = data.draw(bad_solve_value(field), label="value")
+        index = data.draw(st.integers(-5, 10**6), label="index")
+        records = [{"index": i, "class_name": "Car", "length": 4.0, "width": 1.8,
+                    "r_ab": 1.1, "r_bc": 0.9, "r_cd": 1.05, "r_da": 0.97,
+                    "sigma_ab": 0.01, "sigma_bc": 0.01, "sigma_cd": 0.01, "sigma_da": 0.01}
+                   for i in range(4)]
+        records[pos]["index"] = index
+        if value is MISSING:
+            del records[pos][field]
+        else:
+            records[pos][field] = value
+        src, est = tmp_path / "r.jsonl", tmp_path / "e.jsonl"
+        write_jsonl(src, records)
+        assert run("solve", "--in", src, "--out", est) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: record {pos} (index {index}): ")
+        assert field in err and err.count("\n") == 1
         assert not est.exists()
 
 

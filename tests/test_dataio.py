@@ -3,6 +3,8 @@
 import csv
 import json
 import math
+import os
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from keyedge.dataio import (
+    MAX_POSE_RETRIES,
+    MIN_HEIGHT_PX,
     PLAIN_FIELDS,
     RECORD_FIELDS,
     ConfigError,
@@ -32,12 +36,15 @@ from keyedge.dataio import (
     read_jsonl,
     record_ratio_sigmas,
     record_tuples,
+    scene_records,
     write_csv,
+    write_json,
     write_jsonl,
 )
 from keyedge.geometry import (
     CameraIntrinsics,
     BoxPose3D,
+    KeyedgeObservation,
     keyedge_ratios,
     normalize_angle,
     project_keyedges,
@@ -45,6 +52,7 @@ from keyedge.geometry import (
 )
 from keyedge.indexing import allocentric_group, camera_centric_view, object_centric_tuples
 from keyedge.recovery import solve_all
+from oracles import sequential_scene
 
 DATA = Path(__file__).parent / "data" / "kitti"
 INTR = CameraIntrinsics(focal_length=721.5377, principal_point=(609.5593, 172.854))
@@ -261,8 +269,8 @@ class TestGenerateScene:
 
     def test_min_distortion_rejection(self):
         cfg = self.cfg(count=50, seed=7, min_distortion=0.02, depth_range=(5.0, 30.0))
-        for pose in generate_scene(cfg):
-            assert min_tuple_distortion(pose) >= 0.02
+        scene = observe_scene(cfg, INTR, NoiseModel(kind="none"))
+        assert (min_tuple_distortion(scene.depths) >= 0.02).all()
 
     def test_unattainable_distortion(self):
         with pytest.raises(ConfigError):
@@ -277,31 +285,138 @@ class TestGenerateScene:
             self.cfg(count=-1)
 
 
+def oracle_scene(cfg, noise):
+    return sequential_scene(cfg, INTR.focal_length, noise, MAX_POSE_RETRIES, MIN_HEIGHT_PX)
+
+
+GAUSSIAN = NoiseModel(kind="gaussian_height", sigma_px=0.5)
+QUANTIZED = NoiseModel(kind="pixel_quantization", quantum_px=1.0)
+# Scenes that redraw poses: 5-30 m under min_distortion 0.1, and 0.5-4 m,
+# where keyedges fall behind the camera.
+REJECTING = dict(min_distortion=0.1, depth_range=(5.0, 30.0))
+NEAR = dict(depth_range=(0.5, 4.0))
+# 40-60 m under 30 px of noise: heights of 16-36 px go below MIN_HEIGHT_PX.
+CLAMPING = (dict(depth_range=(40.0, 60.0)), NoiseModel(kind="gaussian_height", sigma_px=30.0))
+
+
 class TestObserveScene:
     def test_streams_are_block_draws(self):
         # The scheme: the poses are the pose stream's six uniforms per object
         # (no redraws at these ranges) and the noise is the noise stream's
         # four normals per object, so block draws give the same values.
         cfg = SceneConfig(count=50, seed=42)
-        noise = NoiseModel(kind="gaussian_height", sigma_px=0.5)
-        observed = list(observe_scene(cfg, INTR, noise))
+        scene = observe_scene(cfg, INTR, GAUSSIAN)
         stream = [np.random.default_rng(np.random.SeedSequence(42, spawn_key=(key,))) for key in (0, 1)]
         lows, highs = zip(cfg.depth_range, cfg.gamma_range, (-math.pi, math.pi),
                           cfg.length_range, cfg.width_range, cfg.height_range)
         draws = stream[0].uniform(lows, highs, size=(50, 6)).tolist()
         deltas = stream[1].normal(0.0, 0.5, size=(50, 4)).tolist()
-        for (pose, obs, sigmas), (z, gamma, yaw, *dims), delta in zip(observed, draws, deltas):
-            assert (pose.z, pose.x, pose.yaw, list(pose.dims)) == (z, z * math.tan(gamma), yaw, dims)
-            clean = project_keyedges(pose, INTR).heights
-            assert [obs.heights[k] for k in "abcd"] == [clean[k] + d for k, d in zip("abcd", delta)]
-            assert sigmas == ratio_sigmas(obs, noise)
+        poses = generate_scene(cfg)
+        assert scene.redraws == 0
+        for i, (pose, (z, gamma, yaw, *dims), delta) in enumerate(zip(poses, draws, deltas)):
+            assert (pose.z, pose.x, pose.yaw, list(pose.dims)) == (z, z * float(np.tan(gamma)), yaw, dims)
+            assert (scene.z[i], scene.x[i], scene.yaw[i]) == (pose.z, pose.x, pose.yaw)
+            clean = project_keyedges(pose, INTR)
+            heights = [clean.heights[k] + d for k, d in zip("abcd", delta)]
+            assert scene.heights[i].tolist() == heights
+            assert scene.depths[i].tolist() == [clean.depths[k] for k in "abcd"]
+            obs = KeyedgeObservation(clean.depths, clean.distances, dict(zip("abcd", heights)))
+            assert scene.ratios[i].tolist() == list(keyedge_ratios(obs).values())
+            assert scene.sigmas[i].tolist() == list(ratio_sigmas(obs, GAUSSIAN).values())
 
     def test_clean_and_noisy_share_poses(self):
         cfg = SceneConfig(count=20, seed=5)
-        clean = list(observe_scene(cfg, INTR, NoiseModel(kind="none")))
-        noisy = list(observe_scene(cfg, INTR, NoiseModel(kind="gaussian_height", sigma_px=0.5)))
-        assert [pose for pose, _, _ in clean] == [pose for pose, _, _ in noisy] == generate_scene(cfg)
-        assert all(obs == project_keyedges(pose, INTR) and sigmas is None for pose, obs, sigmas in clean)
+        clean = observe_scene(cfg, INTR, NoiseModel(kind="none"))
+        noisy = observe_scene(cfg, INTR, GAUSSIAN)
+        for a, b in zip(clean[:8], noisy[:8]):  # the pose columns and depths
+            assert a.tolist() == b.tolist()
+        poses = generate_scene(cfg)
+        assert clean.x.tolist() == [pose.x for pose in poses]
+        projected = [project_keyedges(pose, INTR).heights for pose in poses]
+        assert clean.heights.tolist() == [[h[k] for k in "abcd"] for h in projected]
+        assert clean.sigmas is None and clean.clamped == 0
+
+    @pytest.mark.parametrize("kw, noise", [
+        (dict(seed=1), NoiseModel(kind="none")),
+        (dict(seed=2), GAUSSIAN),
+        (dict(seed=3), QUANTIZED),
+        (dict(seed=4, **REJECTING), GAUSSIAN),
+        (dict(seed=5, **REJECTING), QUANTIZED),
+        (dict(seed=6, **NEAR), NoiseModel(kind="none")),
+        (dict(seed=7, **NEAR), GAUSSIAN),
+        (dict(seed=8, **NEAR, min_distortion=0.1), QUANTIZED),
+        (dict(seed=9, **CLAMPING[0]), CLAMPING[1]),
+        (dict(seed=10, **CLAMPING[0]), NoiseModel(kind="pixel_quantization", quantum_px=40.0)),
+    ])
+    def test_matches_sequential_oracle(self, kw, noise):
+        cfg = SceneConfig(count=400, **kw)
+        scene = observe_scene(cfg, INTR, noise)
+        objects, redraws, clamped = oracle_scene(cfg, noise)
+        poses, depths, heights, ratios, sigmas = (list(column) for column in zip(*objects))
+        assert np.column_stack(scene[:7]).tolist() == [list(pose) for pose in poses]
+        assert scene.depths.tolist() == depths
+        assert scene.heights.tolist() == heights
+        assert scene.ratios.tolist() == ratios
+        if noise.kind == "none":
+            assert scene.sigmas is None and sigmas == [None] * 400
+        else:
+            assert scene.sigmas.tolist() == sigmas
+        assert (scene.redraws, scene.clamped) == (redraws, clamped)
+        assert (redraws > 0) == ("min_distortion" in kw or kw.get("depth_range") == (0.5, 4.0))
+
+    def test_redraws_counted(self):
+        cfg = SceneConfig(count=3000, seed=42, **REJECTING)
+        assert observe_scene(cfg, INTR, GAUSSIAN).redraws == 1033
+        assert observe_scene(replace(cfg, **NEAR, min_distortion=0.0), INTR, GAUSSIAN).redraws == 1823
+        assert observe_scene(replace(cfg, min_distortion=0.0), INTR, GAUSSIAN).redraws == 0
+
+    def test_clamps_counted(self):
+        cfg = SceneConfig(count=1000, seed=42, **CLAMPING[0])
+        scene = observe_scene(cfg, INTR, CLAMPING[1])
+        assert scene.clamped == 934
+        assert (scene.heights == MIN_HEIGHT_PX).sum() == scene.clamped
+        assert observe_scene(cfg, INTR, GAUSSIAN).clamped == 0
+
+    @pytest.mark.parametrize("kw", [{}, REJECTING, NEAR])
+    def test_prefix_stable_under_count(self, kw):
+        short = observe_scene(SceneConfig(count=40, seed=3, **kw), INTR, GAUSSIAN)
+        long = observe_scene(SceneConfig(count=100, seed=3, **kw), INTR, GAUSSIAN)
+        for a, b in zip(short[:10], long[:10]):
+            assert a.tolist() == b[:40].tolist()
+        assert short.redraws <= long.redraws
+
+    def test_no_acceptable_pose_names_the_object(self):
+        with pytest.raises(ConfigError) as exc:
+            observe_scene(SceneConfig(count=3, seed=42, min_distortion=5.0), INTR, GAUSSIAN)
+        assert str(exc.value) == f"object 0: no acceptable pose in {MAX_POSE_RETRIES} draws (min_distortion=5.0)"
+        # a rare acceptance: some objects find a pose before one does not
+        cfg = SceneConfig(count=200, seed=42, min_distortion=0.4, depth_range=(5.0, 30.0))
+        with pytest.raises(ValueError) as oracle:
+            oracle_scene(cfg, GAUSSIAN)
+        index = int(str(oracle.value).split()[1])
+        assert index > 0
+        with pytest.raises(ConfigError) as exc:
+            observe_scene(cfg, INTR, GAUSSIAN)
+        assert str(exc.value).startswith(f"object {index}: no acceptable pose in {MAX_POSE_RETRIES} draws")
+
+
+class TestSceneRecords:
+    @pytest.mark.parametrize("noise", [NoiseModel(kind="none"), GAUSSIAN, QUANTIZED])
+    def test_matches_object_record(self, noise):
+        # gamma takes np.arctan2 and alpha wraps by wrap_turn, so those two
+        # may differ from object_record's in the last places
+        cfg = SceneConfig(count=300, seed=13)
+        scene = observe_scene(cfg, INTR, noise)
+        records = scene_records(scene, INTR, "Van")
+        assert len(records) == 300
+        for i, (rec, pose) in enumerate(zip(records, generate_scene(cfg))):
+            heights = dict(zip("abcd", scene.heights[i].tolist()))
+            obs = replace(project_keyedges(pose, INTR), heights=heights)
+            want = object_record(i, "Van", pose, INTR, obs, ratio_sigmas(obs, noise))
+            assert list(rec) == list(want)
+            for key in ("gamma", "alpha"):
+                assert rec.pop(key) == pytest.approx(want.pop(key), rel=0.0, abs=8 * np.finfo(float).eps)
+            assert rec == want
 
 
 class TestPerturbHeights:
@@ -458,9 +573,14 @@ class TestSerialization:
         assert raw.endswith(b"\n")
         assert len(raw.splitlines()) == 5
 
-    def test_read_jsonl_bad_line(self, tmp_path):
+    @pytest.mark.parametrize("bad", [
+        "{broken",
+        "[" * 100_000 + "]" * 100_000,  # nested past the recursion limit
+        '{"r_ab": 1' + "0" * 5000 + "}",  # an integer past the digit limit
+    ])
+    def test_read_jsonl_bad_line(self, tmp_path, bad):
         path = tmp_path / "bad.jsonl"
-        path.write_text('{"index": 0}\n{broken\n', encoding="utf-8")
+        path.write_text('{"index": 0}\n' + bad + "\n", encoding="utf-8")
         with pytest.raises(ParseError) as exc:
             read_jsonl(path)
         assert exc.value.line == 2
@@ -483,3 +603,59 @@ class TestSerialization:
             assert float(row["z"]) == rec["z"]
             assert float(row["r_ab"]) == rec["r_ab"]
             assert int(row["group"]) == rec["group"]
+
+    @pytest.mark.parametrize("write", ["jsonl_dumps", "jsonl", "csv", "json"])
+    def test_failed_write_leaves_no_partial_file(self, tmp_path, monkeypatch, write):
+        records = self.records()
+
+        def rows():  # three records, then the run fails
+            yield from records[:3]
+            raise RuntimeError("failed partway")
+
+        if write == "jsonl_dumps":
+            dumps, calls = json.dumps, []
+
+            def failing_dumps(obj, *args, **kwargs):
+                calls.append(obj)
+                if len(calls) > 3:
+                    raise RuntimeError("failed partway")
+                return dumps(obj, *args, **kwargs)
+
+            monkeypatch.setattr(json, "dumps", failing_dumps)
+        run = {
+            "jsonl_dumps": lambda path: write_jsonl(path, records),
+            "jsonl": lambda path: write_jsonl(path, rows()),
+            "csv": lambda path: write_csv(path, rows(), PLAIN_FIELDS),
+            "json": lambda path: write_json(path, {"arde": 0.5, "bins": [records[0], object()]}),
+        }[write]
+        earlier, fresh = tmp_path / "earlier.out", tmp_path / "fresh.out"
+        earlier.write_bytes(b"an earlier run's output\n")
+        for path in (earlier, fresh):
+            with pytest.raises((RuntimeError, TypeError)):
+                run(path)
+        assert earlier.read_bytes() == b"an earlier run's output\n"
+        assert sorted(os.listdir(tmp_path)) == ["earlier.out"]
+
+    def test_write_replaces_earlier_file(self, tmp_path):
+        path = tmp_path / "scene.jsonl"
+        path.write_text("stale\n" * 10, encoding="utf-8")
+        assert write_jsonl(path, self.records()[:2]) == 2
+        assert read_jsonl(path) == self.records()[:2]
+        assert sorted(os.listdir(tmp_path)) == ["scene.jsonl"]
+
+    def test_write_through_link_and_into_pipe(self, tmp_path):
+        records = self.records()
+        target, link = tmp_path / "target.jsonl", tmp_path / "link.jsonl"
+        target.write_text("stale\n", encoding="utf-8")
+        link.symlink_to(target)
+        write_jsonl(link, records)
+        assert link.is_symlink() and read_jsonl(target) == records
+        pipe = tmp_path / "pipe"
+        os.mkfifo(pipe)
+        reader = os.open(pipe, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            write_jsonl(pipe, records[:1])
+            assert os.read(reader, 1 << 16) == (json.dumps(records[0]) + "\n").encode()
+        finally:
+            os.close(reader)
+        assert sorted(os.listdir(tmp_path)) == ["link.jsonl", "pipe", "target.jsonl"]
