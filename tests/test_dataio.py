@@ -573,12 +573,18 @@ class TestSerialization:
         assert raw.endswith(b"\n")
         assert len(raw.splitlines()) == 5
 
+    def test_read_jsonl_bad_line(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"index": 0}\n{broken\n', encoding="utf-8")
+        with pytest.raises(ParseError) as exc:
+            read_jsonl(path)
+        assert exc.value.line == 2
+
     @pytest.mark.parametrize("bad", [
-        "{broken",
         "[" * 100_000 + "]" * 100_000,  # nested past the recursion limit
         '{"r_ab": 1' + "0" * 5000 + "}",  # an integer past the digit limit
     ])
-    def test_read_jsonl_bad_line(self, tmp_path, bad):
+    def test_read_jsonl_line_past_parser_limits(self, tmp_path, bad):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"index": 0}\n' + bad + "\n", encoding="utf-8")
         with pytest.raises(ParseError) as exc:
