@@ -25,6 +25,7 @@ import argparse
 import math
 import sys
 from dataclasses import asdict, replace
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -250,7 +251,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     intr = _intrinsics(args)
     _check_paths(args)
     observed = observe_scene(scene, intr, noise)
-    records = scene_records(observed, intr, args.class_name)
+    records = scene_records(observed, (intr.focal_length, *intr.principal_point), repeat(args.class_name))
     fields = PLAIN_FIELDS if observed.sigmas is None else RECORD_FIELDS
     _write_records(args, lambda: records, fields, "wrote")
     return 0

@@ -19,10 +19,11 @@ the same schema.  Noise is applied in pixel space on keyedge heights, not
 on ratios, because that is where measurement error physically arises;
 ratio sigmas are then first-order propagated from the per-height sigma.
 
-Synthetic scenes are columns: observe_scene draws a scene's poses and noise
-in blocks and returns its SceneColumns, which synth's records
-(scene_records) and the sensitivity grid read.  generate_scene,
-perturb_heights and ratio_sigmas are views of its stages for callers that
+Scenes are columns: observe_scene draws a scene's poses and noise in
+blocks and returns its SceneColumns, which synth's records (scene_records)
+and the sensitivity grid read; labelgen's labels pass through the same
+projection stage and record builder.  generate_scene, perturb_heights,
+ratio_sigmas and object_record are views of these stages for callers that
 want objects.
 
 Every record format lives here, solve's rows (SOLVE_FIELDS) included, and
@@ -39,7 +40,7 @@ import os
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -49,18 +50,12 @@ from .geometry import (
     BoxPose3D,
     CameraIntrinsics,
     KeyedgeObservation,
-    NonPositiveDepth,
     corner_columns,
-    keyedge_positions,
     keyedge_ratios,
-    normalize_angle,
     project_keyedges,
-    viewing_angle,
     wrap_turn,
 )
-from .indexing import (
-    QUARTER_EDGES, RatioTuple, allocentric_group, object_centric_tuples, reference_pairs,
-)
+from .indexing import QUARTER_EDGES, RatioTuple, object_centric_tuples, reference_pairs
 from .metrics import DetectionRecord, GroundTruthRecord
 from .recovery import UNOBSERVABLE, check_dims
 
@@ -231,25 +226,43 @@ class GroundTruthObject:
     label: KittiLabel
 
 
-def labels_to_ground_truth(
-    labels: list[KittiLabel], intr: CameraIntrinsics
-) -> list[GroundTruthObject]:
+def _label_poses(labels: Sequence[KittiLabel], files=None) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """The pose columns (x, y, z, yaw, length, width, height) of labels, and their (N, 4) keyedge depths.
+
+    A label's location is its box's bottom center, so y moves up by h/2,
+    and its dimensions h w l become length, width, height.  The first label
+    whose center, or else one of whose keyedges, sits at z <= 0 raises
+    BehindCamera naming its line, and its file when files gives each label's.
+    """
+    values = np.array([(*lab.location, lab.rotation_y, *lab.dims_hwl) for lab in labels]).reshape(-1, 7)
+    x, y_bottom, z, yaw, h, w, l = values.T
+    depths = _keyedge_depths(x, z, yaw, l, w)
+    behind = np.flatnonzero((z <= 0.0) | (depths <= 0.0).any(axis=1))
+    if behind.size:
+        i = behind[0]
+        label = labels[i]
+        name = (f"{files[i]}: " if files else "") + f"label {label.class_name}"
+        if z[i] <= 0.0:
+            raise BehindCamera(f"{name} at z={label.location[2]}", line=label.line, field=14)
+        k = int((depths[i] <= 0.0).argmax())
+        raise BehindCamera(f"{name}: keyedge {KEYEDGES[k]} depth {depths[i, k].item()} is not positive",
+                           line=label.line)
+    return (x, y_bottom - h / 2.0, z, yaw, l, w, h), depths
+
+
+def labels_to_ground_truth(labels: list[KittiLabel], intr: CameraIntrinsics) -> list[GroundTruthObject]:
     """Project labels into ground-truth observations; DontCare rows skipped."""
-    out = []
-    for label in labels:
-        if label.is_dontcare:
-            continue
-        h, w, l = label.dims_hwl
-        x, y_bottom, z = label.location
-        if z <= 0.0:
-            raise BehindCamera(f"label {label.class_name} at z={z}", line=label.line, field=14)
-        pose = BoxPose3D(center=(x, y_bottom - h / 2.0, z), dims=(l, w, h), yaw=label.rotation_y)
-        try:
-            obs = project_keyedges(pose, intr)
-        except NonPositiveDepth as err:
-            raise BehindCamera(f"label {label.class_name}: {err}", line=label.line) from None
-        out.append(GroundTruthObject(pose=pose, observation=obs, label=label))
-    return out
+    kept = [label for label in labels if not label.is_dontcare]
+    return [GroundTruthObject(pose=pose, observation=project_keyedges(pose, intr), label=label)
+            for pose, label in zip(_poses(_label_poses(kept)[0]), kept)]
+
+
+def _parse_file(parse, path: Path):
+    """parse(text) of a UTF-8 file; a ParseError names the file."""
+    try:
+        return parse(path.read_text(encoding="utf-8"))
+    except ParseError as err:  # NonPositiveFocal included
+        raise ParseError(f"{path}: {err}") from None
 
 
 def kitti_records(labels: Path, calib: Path, skip_hard: bool = False) -> list[dict]:
@@ -258,36 +271,39 @@ def kitti_records(labels: Path, calib: Path, skip_hard: bool = False) -> list[di
     In directories, each *.txt label file pairs with the calib file of its
     name, and every pair must exist before any is read.  skip_hard drops
     the labels KittiLabel.is_hard flags.  A record's frame is its label
-    file's stem, as an integer when all digits.  A parse error names the
-    file at fault.
+    file's stem, as an integer when all digits.  The labels of all files
+    are checked and projected together, each under its own file's camera,
+    and errors come in file order: a file that fails to read or parse is
+    reported only once the labels of the files before it pass the check.
     """
     label_files = sorted(labels.glob("*.txt")) if labels.is_dir() else [labels]
     if not label_files:
         raise FileNotFoundError(f"no .txt label files under {labels}")
-    pairs = []
-    for label_file in label_files:
-        calib_file = calib / label_file.name if calib.is_dir() else calib
+    pairs = [(label_file, calib / label_file.name if calib.is_dir() else calib) for label_file in label_files]
+    for label_file, calib_file in pairs:
         if not calib_file.is_file():
             raise FileNotFoundError(f"no calib file for {label_file.name}: {calib_file}")
-        pairs.append((label_file, calib_file))
-    records = []
+    rows, failure = [], None  # (label, its file, camera, frame) per kept label
     for label_file, calib_file in pairs:
         try:
-            intr = parse_calib(calib_file.read_text(encoding="utf-8"))
-        except ParseError as err:  # NonPositiveFocal included
-            raise ParseError(f"{calib_file}: {err}") from None
-        try:
-            kitti = parse_label_file(label_file.read_text(encoding="utf-8"))
-            gts = labels_to_ground_truth([lab for lab in kitti if not (skip_hard and lab.is_hard)], intr)
-        except ParseError as err:  # BehindCamera included
-            raise ParseError(f"{label_file}: {err}") from None
+            intr = _parse_file(parse_calib, calib_file)
+            file_labels = _parse_file(parse_label_file, label_file)
+        except (OSError, ValueError) as err:  # ParseError and UnicodeDecodeError are ValueErrors
+            failure = err
+            break
         stem = label_file.stem
         frame = int(stem) if stem.isascii() and stem.isdigit() else stem
-        for gt in gts:
-            rec = object_record(len(records), gt.label.class_name, gt.pose, intr, gt.observation)
-            rec["frame"] = frame
-            records.append(rec)
-    return records
+        camera = (intr.focal_length, *intr.principal_point)
+        rows += [(label, label_file, camera, frame) for label in file_labels
+                 if not (label.is_dontcare or skip_hard and label.is_hard)]
+    kept, files, cameras, frames = zip(*rows) if rows else ((),) * 4
+    pose, depths = _label_poses(kept, files)
+    if failure is not None:
+        raise failure
+    f, cx, cy = np.reshape(cameras, (-1, 3)).T
+    scene = _observe(pose, depths, f, NoiseModel(kind="none"))
+    records = scene_records(scene, (f, cx, cy), [lab.class_name for lab in kept])
+    return [{**rec, "frame": frame} for rec, frame in zip(records, frames)]
 
 
 def _check_range(name: str, lo: float, hi: float) -> None:
@@ -397,6 +413,17 @@ def _corners(x, z, yaw, length, width):
     return corner_columns(x, z, np.sin(yaw), np.cos(yaw), length, width)
 
 
+def _keyedge_depths(x, z, yaw, length, width) -> np.ndarray:
+    """(N, 4) depths of the keyedges a, b, c, d of pose columns."""
+    return np.stack([cz for _, cz in _corners(x, z, yaw, length, width)], axis=1)
+
+
+def _poses(columns) -> list[BoxPose3D]:
+    """The poses of pose columns (x, y, z, yaw, length, width, height), in row order."""
+    return [BoxPose3D(center=(x, y, z), dims=(length, width, height), yaw=yaw)
+            for x, y, z, yaw, length, width, height in zip(*(column.tolist() for column in columns))]
+
+
 def _draw_poses(cfg: SceneConfig) -> tuple[np.ndarray, np.ndarray, int]:
     """The scene's (N, 6) pose rows, their (N, 4) keyedge depths and the rows rejected.
 
@@ -416,7 +443,7 @@ def _draw_poses(cfg: SceneConfig) -> tuple[np.ndarray, np.ndarray, int]:
     while accepted < cfg.count:
         rows = rng.uniform(lows, highs, size=(cfg.count - accepted, 6))
         x, _, z, yaw, length, width, _ = _pose_columns(rows, cfg.ground_y)
-        depths = np.stack([cz for _, cz in _corners(x, z, yaw, length, width)], axis=1)
+        depths = _keyedge_depths(x, z, yaw, length, width)
         ok = depths.min(axis=1) > 0.0
         if cfg.min_distortion > 0.0:
             ok[ok] = min_tuple_distortion(depths[ok]) >= cfg.min_distortion
@@ -441,9 +468,7 @@ def _draw_poses(cfg: SceneConfig) -> tuple[np.ndarray, np.ndarray, int]:
 def generate_scene(cfg: SceneConfig) -> list[BoxPose3D]:
     """The scene's poses, in object order, read off the pose columns of observe_scene."""
     rows, _, _ = _draw_poses(cfg)
-    columns = (column.tolist() for column in _pose_columns(rows, cfg.ground_y))
-    return [BoxPose3D(center=(x, y, z), dims=(length, width, height), yaw=yaw)
-            for x, y, z, yaw, length, width, height in zip(*columns)]
+    return _poses(_pose_columns(rows, cfg.ground_y))
 
 
 def _noisy_heights(clean: np.ndarray, noise: NoiseModel, rng) -> tuple[np.ndarray, int]:
@@ -519,88 +544,54 @@ def observe_scene(cfg: SceneConfig, intr: CameraIntrinsics, noise: NoiseModel) -
     their poses, and scenes are prefix stable under count changes.
     """
     rows, depths, redraws = _draw_poses(cfg)
-    x, y, z, yaw, length, width, height = _pose_columns(rows, cfg.ground_y)
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(1,)))
-    heights, clamped = _noisy_heights(intr.focal_length * height[:, None] / depths, noise, rng)
-    ratios = heights / heights[:, NEXT_KEYEDGE]
-    return SceneColumns(x, y, z, yaw, length, width, height, depths, heights, ratios,
-                        _ratio_sigmas(ratios, heights, noise), redraws, clamped)
+    return _observe(_pose_columns(rows, cfg.ground_y), depths, intr.focal_length, noise, rng, redraws)
 
 
-def keyedge_bbox(
-    pose: BoxPose3D, intr: CameraIntrinsics
-) -> tuple[float, float, float, float]:
-    """Tight pixel box around the eight projected box corners.
+def _observe(pose, depths, focal, noise: NoiseModel, rng=None, redraws: int = 0) -> SceneColumns:
+    """SceneColumns of pose columns and their (N, 4) keyedge depths, seen through focal lengths.
 
-    Keyedges are vertical, so top and bottom corners share a column and
-    the extremes come from the four keyedges alone.
+    The keyedges project to h_i = f * height / d_i, focal being a float or
+    an (N,) column; the noise model draws from rng, and the ratios and
+    sigmas follow from the noisy heights.
     """
-    corners, height = keyedge_positions(pose)
-    f = intr.focal_length
-    cx, cy = intr.principal_point
-    us, v_top, v_bot = [], [], []
-    for px, py, pz in corners.values():
-        if pz <= 0.0:
-            raise NonPositiveDepth(f"keyedge at depth {pz}")
-        us.append(cx + f * px / pz)
-        v_bot.append(cy + f * py / pz)
-        v_top.append(cy + f * (py - height) / pz)
-    return (min(us), min(v_top), max(us), max(v_bot))
+    clean = np.reshape(focal, (-1, 1)) * pose[6][:, None] / depths
+    heights, clamped = _noisy_heights(clean, noise, rng)
+    ratios = heights / heights[:, NEXT_KEYEDGE]
+    sigmas = _ratio_sigmas(ratios, heights, noise)
+    return SceneColumns(*pose, depths, heights, ratios, sigmas, redraws, clamped)
 
 
-def object_record(
-    index: int,
-    class_name: str,
-    pose: BoxPose3D,
-    intr: CameraIntrinsics,
-    obs: KeyedgeObservation,
-    sigmas: dict[str, float] | None = None,
-) -> dict:
-    """Flatten one object into the RECORD_FIELDS schema.
+def object_record(index: int, class_name: str, pose: BoxPose3D, intr: CameraIntrinsics,
+                  obs: KeyedgeObservation, sigmas: dict[str, float] | None = None) -> dict:
+    """Flatten one object into the RECORD_FIELDS schema, a one-row view of scene_records.
 
     obs may be a perturbed observation; ratios and heights then reflect the
     noise while the pose fields, depths, and bbox stay geometric.
     """
-    gamma = viewing_angle(pose.center)
-    alpha = normalize_angle(pose.yaw - gamma)
-    bbox = keyedge_bbox(pose, intr)
-    rec = {
-        "index": index,
-        "class_name": class_name,
-        "x": pose.x,
-        "y": pose.y,
-        "z": pose.z,
-        "length": pose.length,
-        "width": pose.width,
-        "height": pose.height,
-        "yaw": pose.yaw,
-        "alpha": alpha,
-        "gamma": gamma,
-        "group": allocentric_group(alpha),
-    }
-    rec.update(keyedge_ratios(obs))
-    for k in KEYEDGES:
-        rec[f"h_{k}"] = obs.heights[k]
-    for k in KEYEDGES:
-        rec[f"d_{k}"] = obs.depths[k]
-    rec.update(zip(BBOX_FIELDS, bbox))
-    if sigmas:
-        for key in SIGMA_KEYS:
-            rec[key] = sigmas[key]
-    return rec
+    ratios = np.array([list(keyedge_ratios(obs).values())])  # ZeroHeight on a height <= 0
+    scene = SceneColumns(
+        *np.array([[pose.x, pose.y, pose.z, pose.yaw, *pose.dims]]).T,
+        np.array([[obs.depths[k] for k in KEYEDGES]]), _heights_row(obs), ratios,
+        np.array([[sigmas[key] for key in SIGMA_KEYS]]) if sigmas else None, 0, 0,
+    )
+    (rec,) = scene_records(scene, (intr.focal_length, *intr.principal_point), [class_name])
+    return {**rec, "index": index}
 
 
-def scene_records(scene: SceneColumns, intr: CameraIntrinsics, class_name: str) -> list[dict]:
-    """synth's records, object_record's fields built from the scene's columns.
+def scene_records(scene: SceneColumns, camera, class_names) -> list[dict]:
+    """The records of a scene's rows, RECORD_FIELDS when it has sigmas, else PLAIN_FIELDS.
 
-    gamma is atan2(x, z), alpha is yaw - gamma wrapped to [-pi, pi), and the
-    box bounds the projected keyedges.  The records carry sigma fields
-    (RECORD_FIELDS) when the scene has sigmas, else PLAIN_FIELDS.
+    camera is (f, cx, cy), each a float or an (N,) column, and class_names
+    names each row (itertools.repeat(name) names them all).  gamma is
+    atan2(x, z), alpha is yaw - gamma wrapped to [-pi, pi), and the box is
+    the tight pixel box of the eight box corners: keyedges are vertical, so
+    the four keyedges bound it.
     """
+    f, cx, cy = (np.reshape(v, (-1, 1)) for v in camera)
     gamma = np.arctan2(scene.x, scene.z)
     alpha = wrap_turn(scene.yaw - gamma)
-    # keyedge_bbox's pixel rows and columns, one keyedge per column
-    f, (cx, cy) = intr.focal_length, intr.principal_point
+    # pixel columns and rows, one keyedge per column
     corners = _corners(scene.x, scene.z, scene.yaw, scene.length, scene.width)
     bottom_y = (scene.y + scene.height / 2.0)[:, None]
     us = cx + f * np.stack([px for px, _ in corners], axis=1) / scene.depths
@@ -616,9 +607,9 @@ def scene_records(scene: SceneColumns, intr: CameraIntrinsics, class_name: str) 
     if scene.sigmas is not None:
         columns.extend(scene.sigmas.T)
         fields = RECORD_FIELDS
-    rows = zip(*(column.tolist() for column in columns))
-    return [{"index": i, "class_name": class_name, **dict(zip(fields[2:], row))}
-            for i, row in enumerate(rows)]
+    rows = zip(class_names, zip(*(column.tolist() for column in columns)))
+    return [{"index": i, "class_name": name, **dict(zip(fields[2:], row))}
+            for i, (name, row) in enumerate(rows)]
 
 
 def record_number(record: dict, key: str) -> float:
@@ -632,13 +623,17 @@ def record_number(record: dict, key: str) -> float:
         raise ParseError(f"{key} is beyond the float range") from None
 
 
+def _finite(record: dict, key: str, positive: bool = False) -> float:
+    """record_number(record, key), which must be finite, and positive when asked."""
+    value = record_number(record, key)
+    if not math.isfinite(value) or positive and value <= 0.0:
+        raise ParseError(f"{key} must be finite{' and positive' * positive}, got {value!r}")
+    return value
+
+
 def record_ratios(record: dict) -> list[float]:
     """A record's four stored ratios in RATIO_KEYS order, each finite and positive."""
-    ratios = [record_number(record, key) for key in RATIO_KEYS]
-    for key, r in zip(RATIO_KEYS, ratios):
-        if not (math.isfinite(r) and r > 0.0):
-            raise ParseError(f"{key} must be finite and positive, got {r!r}")
-    return ratios
+    return [_finite(record, key, positive=True) for key in RATIO_KEYS]
 
 
 def record_sigmas(record: dict) -> list[float] | None:
@@ -742,22 +737,22 @@ def solved_rows(heads: list[dict], batch):
 
 
 def _bbox(rec: dict) -> tuple[float, float, float, float]:
-    return tuple(record_number(rec, key) for key in BBOX_FIELDS)
+    return tuple(_finite(rec, key) for key in BBOX_FIELDS)
 
 
 def _detection(rec: dict) -> DetectionRecord:
     return DetectionRecord(
         bbox2d=_bbox(rec),
-        confidence=record_number(rec, "confidence"),
-        d_est=record_number(rec, "d_est"),
-        gamma_est=None if rec.get("gamma_est") is None else record_number(rec, "gamma_est"),
+        confidence=_finite(rec, "confidence"),
+        d_est=_finite(rec, "d_est", positive=True),
+        gamma_est=None if rec.get("gamma_est") is None else _finite(rec, "gamma_est"),
         frame=rec.get("frame"),
     )
 
 
 def _ground_truth(rec: dict) -> GroundTruthRecord:
     return GroundTruthRecord(
-        bbox2d=_bbox(rec), d_gt=record_number(rec, "z"), gamma_gt=record_number(rec, "gamma"),
+        bbox2d=_bbox(rec), d_gt=_finite(rec, "z", positive=True), gamma_gt=_finite(rec, "gamma"),
         frame=rec.get("frame"),
     )
 

@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,7 +17,7 @@ from keyedge.dataio import (
     BBOX_FIELDS, LABELGEN_FIELDS, PLAIN_FIELDS, RECORD_FIELDS, SOLVE_FIELDS, read_jsonl, write_jsonl,
 )
 from keyedge.geometry import normalize_angle
-from oracles import brute_force_arde
+from oracles import brute_force_arde, rotation_corners
 
 DATA = Path(__file__).parent / "data" / "kitti"
 # eval-arde on the fixture labels without frames (TestLabelgen), as the
@@ -155,6 +156,27 @@ def bad_solve_value(field):
     else:
         out_of_domain = st.floats(max_value=0.0) | st.integers(max_value=0)
     return anywhere | too_large | out_of_domain
+
+
+DETECTION_FIELDS = (*BBOX_FIELDS, "confidence", "d_est", "gamma_est", "frame")
+GROUND_TRUTH_FIELDS = (*BBOX_FIELDS, "z", "gamma", "frame")
+
+
+def bad_arde_value(field):
+    """A value eval-arde must refuse in field, from the kinds bad_solve_value draws.
+
+    A frame may be missing, null, any integer or a string, and gamma_est
+    missing or null; only the depths d_est and z must be positive.
+    """
+    if field == "frame":
+        return st.sampled_from([math.nan, math.inf, -math.inf, True, False, 1.5, [1], {"v": 1}])
+    anywhere = [math.nan, math.inf, -math.inf, True, False, "1.5", "", [1.0], {"v": 1.0}]
+    if field != "gamma_est":
+        anywhere += [MISSING, None]
+    bad = st.sampled_from(anywhere) | st.integers(min_value=2**1024, max_value=2**1100)
+    if field in ("d_est", "z"):
+        bad |= st.floats(max_value=0.0) | st.integers(max_value=0)
+    return bad
 
 
 class TestSolveFlow:
@@ -384,6 +406,49 @@ class TestLabelgen:
         assert err.endswith(" is not positive (line 3)\n")
         assert not out.exists()
 
+    def test_behind_camera_before_a_later_file_s_parse_error(self, tmp_path, capsys):
+        # the first file's keyedge behind the camera, then a malformed line
+        # in the second: files are checked in order
+        labels, calib, out = tmp_path / "labels", tmp_path / "calib", tmp_path / "gt.jsonl"
+        labels.mkdir()
+        calib.mkdir()
+        (labels / "000001.txt").write_text(label_line(0.0, 1.65, 10.0, 1.5, 1.8, 4.0, 0.5)
+                                           + label_line(0.5, 1.65, 1.0, 1.5, 1.6, 4.0, 1.57))
+        (labels / "000002.txt").write_text("Car 0.0 0 only five fields\n")
+        for name in ("000001.txt", "000002.txt"):
+            (calib / name).write_text((DATA / "calib" / "000001.txt").read_text())
+        assert run("labelgen", "--labels", labels, "--calib", calib, "--out", out) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {labels / '000001.txt'}: label Car: keyedge a depth -0.99")
+        assert err.endswith(" is not positive (line 2)\n")
+        assert not out.exists()
+
+    def test_each_frame_under_its_own_camera(self, tmp_path):
+        cameras = {"000001": (721.5377, 609.5593, 172.854), "000002": (980.25, 402.5, 251.75)}
+        labels, calib, out = tmp_path / "labels", tmp_path / "calib", tmp_path / "gt.jsonl"
+        labels.mkdir()
+        calib.mkdir()
+        for name, (f, cx, cy) in cameras.items():
+            (calib / f"{name}.txt").write_text(f"P2: {f} 0 {cx} 0 0 {f} {cy} 0 0 0 1 0\n")
+        (labels / "000001.txt").write_text(label_line(-3.0, 1.7, 12.0, 1.5, 1.8, 4.0, 0.4)
+                                           + label_line(4.0, 1.6, 25.0, 1.4, 1.7, 4.4, -1.1))
+        (labels / "000002.txt").write_text(label_line(2.0, 1.65, 9.0, 1.6, 1.9, 4.2, 2.5)
+                                           + label_line(-6.0, 1.7, 30.0, 1.5, 1.6, 3.9, -2.9))
+        assert run("labelgen", "--labels", labels, "--calib", calib, "--out", out) == 0
+        records = read_jsonl(out)
+        assert [rec["frame"] for rec in records] == [1, 1, 2, 2]
+        for rec in records:
+            f, cx, cy = cameras[f"{rec['frame']:06d}"]
+            for k in "abcd":
+                assert rec[f"h_{k}"] == f * rec["height"] / rec[f"d_{k}"]
+            corners, height = rotation_corners(*(rec[key] for key in
+                                                 ("x", "y", "z", "length", "width", "height", "yaw")))
+            pixels = [(cx + f * px / pz, cy + f * v / pz)
+                      for px, py, pz in corners.values() for v in (py, py - height)]
+            us, vs = zip(*pixels)
+            box = [rec[key] for key in BBOX_FIELDS]
+            assert box == pytest.approx([min(us), min(vs), max(us), max(vs)], rel=1e-12)
+
     def test_non_positive_focal_exit_3(self, tmp_path, capsys):
         calib = tmp_path / "000001.txt"
         text = (DATA / "calib" / "000001.txt").read_text()
@@ -524,6 +589,34 @@ class TestEvalArde:
         assert run("eval-arde", "--detections", det_path, "--ground-truth", gt_path,
                    "--out", tmp_path / "r.json") == 3
         assert "detection 1: confidence must be a number, got True" in capsys.readouterr().err
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_fuzzed_bad_value_exit_3(self, tmp_path, capsys, data):
+        # one field of one detection or ground truth gets a value eval-arde
+        # must refuse, by name
+        side, fields = data.draw(st.sampled_from([("detection", DETECTION_FIELDS),
+                                                  ("ground truth", GROUND_TRUTH_FIELDS)]), label="side")
+        pos = data.draw(st.integers(0, 2), label="pos")
+        field = data.draw(st.sampled_from(fields), label="field")
+        value = data.draw(bad_arde_value(field), label="value")
+        dets = [{**d, "gamma_est": 0.1, "frame": 7} for d in self.DETS[:3]]
+        gts = [{**g, "frame": 7} for g in self.GT]
+        record = (dets if side == "detection" else gts)[pos]
+        if value is MISSING:
+            del record[field]
+        else:
+            record[field] = value
+        det_path, gt_path, report = tmp_path / "d.jsonl", tmp_path / "g.jsonl", tmp_path / "r.json"
+        write_jsonl(det_path, dets)
+        write_jsonl(gt_path, gts)
+        assert run("eval-arde", "--detections", det_path, "--ground-truth", gt_path,
+                   "--out", report, "--bin-edges-deg=-40,0,40") == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {side} {pos}: ")
+        assert re.search(rf"\b{field}\b", err) and err.count("\n") == 1
+        assert not report.exists()
 
     def test_missing_field_exit_3(self, tmp_path, capsys):
         det_path, gt_path = self.write_inputs(tmp_path)
@@ -711,9 +804,11 @@ class TestBenchTracer:
         assert trace["counts"]["metrics.iou_2d"] > 0
 
     def test_traced_labelgen_builds_through_spans(self, tmp_path):
-        # labelgen's record builder reaches the traced per-object span
+        # labelgen reaches the traced readers and writer, and builds its
+        # records as columns, with no per-label projection or record
         trace = self.traced("labelgen", "--labels", DATA / "labels", "--calib", DATA / "calib",
                             "--out", tmp_path / "gt.jsonl")
-        assert trace["calls"]["dataio.object_record"] == 6
-        assert trace["calls"]["dataio.labels_to_ground_truth"] == 2
-        assert trace["calls"]["dataio.parse_label_file"] == 2
+        calls = trace["calls"]
+        assert calls["dataio.parse_label_file"] == 2 and calls["dataio.parse_calib"] == 2
+        assert calls["dataio.write_jsonl"] == 1
+        assert "dataio.object_record" not in calls and "geometry.project_keyedges" not in calls

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from keyedge.dataio import (
     MAX_POSE_RETRIES,
     MIN_HEIGHT_PX,
+    BBOX_FIELDS,
     PLAIN_FIELDS,
     RECORD_FIELDS,
     ConfigError,
@@ -24,7 +25,7 @@ from keyedge.dataio import (
     ParseError,
     SceneConfig,
     generate_scene,
-    keyedge_bbox,
+    kitti_records,
     labels_to_ground_truth,
     min_tuple_distortion,
     object_record,
@@ -46,6 +47,7 @@ from keyedge.geometry import (
     BoxPose3D,
     KeyedgeObservation,
     keyedge_ratios,
+    keyedge_positions,
     normalize_angle,
     project_keyedges,
     viewing_angle,
@@ -61,6 +63,47 @@ VALID_LINE = (
     "Car 0.00 0 0.52 455.34 182.05 770.48 317.60 "
     "1.50 1.80 4.00 0.00 1.65 10.00 0.52"
 )
+
+
+def eight_corner_box(pose, intr):
+    """(left, top, right, bottom) of the eight box corners, each projected on its own."""
+    corners, height = keyedge_positions(pose)
+    f, (cx, cy) = intr.focal_length, intr.principal_point
+    pixels = [(cx + f * px / pz, cy + f * y / pz)
+              for px, py, pz in corners.values() for y in (py, py - height)]
+    us, vs = zip(*pixels)
+    return min(us), min(vs), max(us), max(vs)
+
+
+def reference_record(index, class_name, pose, intr, heights=None, noise=NoiseModel(kind="none")):
+    """A record assembled from the scalar forward model, field by field.
+
+    heights replace the projected ones when given, as noise would; the
+    sigma fields follow from the noise model when it contributes any.
+    """
+    obs = project_keyedges(pose, intr)
+    if heights is not None:
+        obs = replace(obs, heights=heights)
+    gamma = viewing_angle(pose.center)
+    alpha = normalize_angle(pose.yaw - gamma)
+    rec = {"index": index, "class_name": class_name, "x": pose.x, "y": pose.y, "z": pose.z,
+           "length": pose.length, "width": pose.width, "height": pose.height, "yaw": pose.yaw,
+           "alpha": alpha, "gamma": gamma, "group": allocentric_group(alpha), **keyedge_ratios(obs)}
+    rec.update((f"h_{k}", obs.heights[k]) for k in "abcd")
+    rec.update((f"d_{k}", obs.depths[k]) for k in "abcd")
+    rec.update(zip(BBOX_FIELDS, eight_corner_box(pose, intr)))
+    rec.update(ratio_sigmas(obs, noise) or {})
+    return rec
+
+
+def assert_same_record(rec, want):
+    # numpy's arctan2 and the wrap of yaw - gamma may differ from
+    # math.atan2 and normalize_angle in the last places
+    assert list(rec) == list(want)
+    rec, want = dict(rec), dict(want)
+    for key in ("gamma", "alpha"):
+        assert rec.pop(key) == pytest.approx(want.pop(key), rel=0.0, abs=8 * np.finfo(float).eps)
+    assert rec == want
 
 
 class TestParseLabels:
@@ -403,20 +446,27 @@ class TestObserveScene:
 class TestSceneRecords:
     @pytest.mark.parametrize("noise", [NoiseModel(kind="none"), GAUSSIAN, QUANTIZED])
     def test_matches_object_record(self, noise):
-        # gamma takes np.arctan2 and alpha wraps by wrap_turn, so those two
-        # may differ from object_record's in the last places
+        # against the scalar forward model, one object at a time
         cfg = SceneConfig(count=300, seed=13)
         scene = observe_scene(cfg, INTR, noise)
-        records = scene_records(scene, INTR, "Van")
+        records = scene_records(scene, (INTR.focal_length, *INTR.principal_point), ["Van"] * 300)
         assert len(records) == 300
         for i, (rec, pose) in enumerate(zip(records, generate_scene(cfg))):
             heights = dict(zip("abcd", scene.heights[i].tolist()))
-            obs = replace(project_keyedges(pose, INTR), heights=heights)
-            want = object_record(i, "Van", pose, INTR, obs, ratio_sigmas(obs, noise))
-            assert list(rec) == list(want)
-            for key in ("gamma", "alpha"):
-                assert rec.pop(key) == pytest.approx(want.pop(key), rel=0.0, abs=8 * np.finfo(float).eps)
-            assert rec == want
+            assert_same_record(rec, reference_record(i, "Van", pose, INTR, heights, noise))
+
+    def test_labelgen_records_match_scalar_model(self):
+        records = kitti_records(DATA / "labels", DATA / "calib")
+        want = []
+        for frame in (1, 2):
+            intr = parse_calib((DATA / "calib" / f"00000{frame}.txt").read_text())
+            labels = parse_label_file((DATA / "labels" / f"00000{frame}.txt").read_text())
+            for gt in labels_to_ground_truth(labels, intr):
+                rec = reference_record(len(want), gt.label.class_name, gt.pose, intr)
+                want.append({**rec, "frame": frame})
+        assert len(records) == len(want) == 6
+        for rec, expected in zip(records, want):
+            assert_same_record(rec, expected)
 
 
 class TestPerturbHeights:
@@ -498,16 +548,7 @@ class TestRecords:
 
     def test_bbox_matches_eight_corner_projection(self):
         rec = object_record(0, "Car", self.pose, INTR, self.obs)
-        us, v_top, v_bot = [], [], []
-        corners, height = __import__("keyedge.geometry", fromlist=["keyedge_positions"]).keyedge_positions(self.pose)
-        f, (cx, cy) = INTR.focal_length, INTR.principal_point
-        for (px, py, pz) in corners.values():
-            us.append(cx + f * px / pz)
-            v_bot.append(cy + f * py / pz)
-            v_top.append(cy + f * (py - height) / pz)
-        left, top, right, bottom = keyedge_bbox(self.pose, INTR)
-        assert (left, top, right, bottom) == (min(us), min(v_top), max(us), max(v_bot))
-        assert rec["bbox_left"] == left and rec["bbox_bottom"] == bottom
+        assert tuple(rec[key] for key in BBOX_FIELDS) == eight_corner_box(self.pose, INTR)
 
     def test_sigma_fields_and_reciprocal_transform(self):
         noise = NoiseModel(kind="gaussian_height", sigma_px=0.5)
