@@ -266,14 +266,14 @@ def _cmd_labelgen(args: argparse.Namespace) -> int:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     _check_paths(args, (("--in", args.input_path),))
-    heads, columns = solve_columns(args.input_path)
+    echo, columns = solve_columns(args.input_path)
     batch = solve_batch(*columns)
     for row in np.flatnonzero(batch.failed)[:1].tolist():
         try:
             check_row(batch, row)
         except DEGENERACY_ERRORS as err:
-            raise type(err)(f"{record_name(row, heads[row])}: {err}") from None
-    _write_records(args, lambda: solved_rows(heads, batch), solve_fields(heads), "solved")
+            raise type(err)(f"{record_name(row, {'index': echo[0][row]})}: {err}") from None
+    _write_records(args, lambda: solved_rows(echo, batch), solve_fields(echo), "solved")
     return 0
 
 

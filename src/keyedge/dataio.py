@@ -26,9 +26,9 @@ projection stage and record builder.  generate_scene, perturb_heights,
 ratio_sigmas and object_record are views of these stages for callers that
 want objects.
 
-Every record format lives here, solve's rows (SOLVE_FIELDS) included, and
-one loop, parse_records, reads solve's and eval-arde's inputs.  Every
-writer replaces its target only once the whole file is written.
+Every record format lives here, solve's rows (SOLVE_FIELDS) included; one
+row builder makes every record from columns, and solve checks its records
+as columns.  Every writer replaces its target only once it is whole.
 """
 
 from __future__ import annotations
@@ -37,8 +37,10 @@ import csv
 import json
 import math
 import os
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from itertools import chain, compress, repeat
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -95,6 +97,7 @@ MIN_HEIGHT_PX = 0.1  # clamp floor for perturbed heights
 # Column of each keyedge's clockwise neighbour in (N, 4) arrays: r_pq = h_p / h_q = d_q / d_p.
 NEXT_KEYEDGE = [1, 2, 3, 0]
 MAX_POSE_RETRIES = 100
+_UNDECODED = re.compile("[\udc80-\udcff]")  # what errors="surrogateescape" makes of non-UTF-8 bytes
 
 
 class ParseError(ValueError):
@@ -258,11 +261,15 @@ def labels_to_ground_truth(labels: list[KittiLabel], intr: CameraIntrinsics) -> 
 
 
 def _parse_file(parse, path: Path):
-    """parse(text) of a UTF-8 file; a ParseError names the file."""
+    """parse(text) of a UTF-8 file; a ParseError, invalid UTF-8 included, names the file."""
+    data = path.read_bytes()
     try:
-        return parse(path.read_text(encoding="utf-8"))
+        return parse(data.decode("utf-8"))
+    except UnicodeDecodeError as err:  # on the line where str.splitlines, as the parsers, puts the byte
+        problem = f"invalid UTF-8 (line {len((data[:err.start].decode() + '_').splitlines())})"
     except ParseError as err:  # NonPositiveFocal included
-        raise ParseError(f"{path}: {err}") from None
+        problem = err
+    raise ParseError(f"{path}: {problem}")
 
 
 def kitti_records(labels: Path, calib: Path, skip_hard: bool = False) -> list[dict]:
@@ -288,7 +295,7 @@ def kitti_records(labels: Path, calib: Path, skip_hard: bool = False) -> list[di
         try:
             intr = _parse_file(parse_calib, calib_file)
             file_labels = _parse_file(parse_label_file, label_file)
-        except (OSError, ValueError) as err:  # ParseError and UnicodeDecodeError are ValueErrors
+        except (OSError, ValueError) as err:  # ParseError is a ValueError
             failure = err
             break
         stem = label_file.stem
@@ -302,8 +309,7 @@ def kitti_records(labels: Path, calib: Path, skip_hard: bool = False) -> list[di
         raise failure
     f, cx, cy = np.reshape(cameras, (-1, 3)).T
     scene = _observe(pose, depths, f, NoiseModel(kind="none"))
-    records = scene_records(scene, (f, cx, cy), [lab.class_name for lab in kept])
-    return [{**rec, "frame": frame} for rec, frame in zip(records, frames)]
+    return scene_records(scene, (f, cx, cy), [lab.class_name for lab in kept], frame=frames)
 
 
 def _check_range(name: str, lo: float, hi: float) -> None:
@@ -579,14 +585,19 @@ def object_record(index: int, class_name: str, pose: BoxPose3D, intr: CameraIntr
     return {**rec, "index": index}
 
 
-def scene_records(scene: SceneColumns, camera, class_names) -> list[dict]:
+def _rows(fields, columns):
+    """The row builder of every record: dict(zip(fields, row)) for each row of the columns, lazily."""
+    return (dict(zip(fields, row)) for row in zip(*columns))
+
+
+def scene_records(scene: SceneColumns, camera, class_names, **extra) -> list[dict]:
     """The records of a scene's rows, RECORD_FIELDS when it has sigmas, else PLAIN_FIELDS.
 
-    camera is (f, cx, cy), each a float or an (N,) column, and class_names
-    names each row (itertools.repeat(name) names them all).  gamma is
-    atan2(x, z), alpha is yaw - gamma wrapped to [-pi, pi), and the box is
-    the tight pixel box of the eight box corners: keyedges are vertical, so
-    the four keyedges bound it.
+    camera is (f, cx, cy), each a float or an (N,) column, and class_names names
+    each row (itertools.repeat(name) names them all).  extra columns, such as
+    labelgen's frame, follow the schema's fields.  gamma is atan2(x, z), alpha is
+    yaw - gamma wrapped to [-pi, pi), and the box is the tight pixel box of the
+    eight box corners: keyedges are vertical, so the four keyedges bound it.
     """
     f, cx, cy = (np.reshape(v, (-1, 1)) for v in camera)
     gamma = np.arctan2(scene.x, scene.z)
@@ -607,9 +618,8 @@ def scene_records(scene: SceneColumns, camera, class_names) -> list[dict]:
     if scene.sigmas is not None:
         columns.extend(scene.sigmas.T)
         fields = RECORD_FIELDS
-    rows = zip(class_names, zip(*(column.tolist() for column in columns)))
-    return [{"index": i, "class_name": name, **dict(zip(fields[2:], row))}
-            for i, (name, row) in enumerate(rows)]
+    columns = [range(len(scene.x)), class_names, *(column.tolist() for column in columns), *extra.values()]
+    return list(_rows((*fields, *extra), columns))
 
 
 def record_number(record: dict, key: str) -> float:
@@ -692,48 +702,76 @@ def parse_records(records, parse, name) -> list:
     return parsed
 
 
-def _solve_input(rec: dict) -> tuple[dict, list[float], list[float]]:
-    """A solve record's echoed fields, its ratios and its sigmas (NaN when it carries none)."""
-    ratios = record_ratios(rec)
-    sigmas = record_sigmas(rec) or [math.nan] * 4
-    dims = {key: record_number(rec, key) for key in ("length", "width")}
-    check_dims(**dims)
-    head = {"index": rec.get("index"), "class_name": rec.get("class_name", "")}
-    if "z" in rec:
-        head["z"] = rec["z"]  # ground truth echoed through for evaluation
-    return {**head, **dims}, ratios, sigmas
+def _solve_input(rec: dict) -> None:
+    """Raise the first problem of a solve record: its ratios, then its sigmas, then its dims."""
+    record_ratios(rec)
+    record_sigmas(rec)
+    check_dims(*(record_number(rec, key) for key in ("length", "width")))
 
 
-def solve_columns(path) -> tuple[list[dict], tuple]:
-    """solve_batch's columns from the records of a JSON-lines file, each checked in turn.
+_ABSENT = object()  # what solve picks for a field its record lacks, unless _SOLVE_PICKS names a default
+_SOLVE_PICKS = {"index": None, "class_name": "", "z": _ABSENT,
+                **dict.fromkeys((*RATIO_KEYS, "length", "width", *SIGMA_KEYS), _ABSENT)}
 
-    Returns the fields each output row echoes and the columns (R, S, L, W);
-    S holds NaN for a record without sigma fields.
+
+def _checked_numbers(numbers) -> tuple | None:
+    """(R, S, L, W) of the picked ratio, dim and sigma columns; None where _solve_input refuses a record."""
+    present = np.array([[v is not _ABSENT for v in column] for column in numbers[6:]], dtype=bool)
+    sigmas = [list(compress(column, present[0])) for column in numbers[6:]]
+    if (present != present[0]).any() or not set(map(type, chain(*numbers[:6], *sigmas))) <= {int, float}:
+        return None  # a record with only some of the four sigmas, or a value that is no JSON number
+    try:
+        positive, sigmas = np.array(numbers[:6], dtype=float), np.array(sigmas, dtype=float)
+    except OverflowError:  # an int beyond the float range
+        return None
+    if not (((0.0 < positive) & (positive < math.inf)).all()
+            and ((0.0 <= sigmas) & (sigmas < math.inf)).all()):
+        return None
+    S = np.full((len(present[0]), 4), math.nan)
+    S[present[0]] = sigmas.T
+    return positive[:4].T, S, *positive[4:]
+
+
+def solve_columns(path) -> tuple[tuple, tuple]:
+    """The columns each output row echoes and solve_batch's (R, S, L, W), from one read of a JSON-lines file.
+
+    The echo is index, class_name, z (_ABSENT where a record has none), length and width; S is
+    NaN where a record has no sigma fields.  Only when a column check fails, or a line fails to
+    decode, are the records checked one at a time, to name the first bad one in file order.
     """
-    parsed = parse_records(iter_jsonl(path), _solve_input, record_name)
-    heads, ratios, sigmas = zip(*parsed) if parsed else ((), (), ())
-    lengths, widths = ([head[key] for head in heads] for key in ("length", "width"))
-    return list(heads), (np.reshape(ratios, (-1, 4)), np.reshape(sigmas, (-1, 4)), lengths, widths)
+    picked, failure = [], None
+    try:
+        for rec in iter_jsonl(path):
+            picked.append(tuple(map(rec.get, _SOLVE_PICKS, _SOLVE_PICKS.values())))
+    except ParseError as err:
+        failure = err
+    columns = list(zip(*picked)) or [()] * len(_SOLVE_PICKS)
+    numbers = None if failure else _checked_numbers(columns[3:])
+    if numbers is None:
+        records = ({key: v for key, v in zip(_SOLVE_PICKS, row) if v is not _ABSENT} for row in picked)
+        parse_records(records, _solve_input, record_name)
+        raise failure  # the column checks fail exactly where _solve_input does
+    return (*columns[:3], numbers[2].tolist(), numbers[3].tolist()), numbers
 
 
-def solve_fields(heads: list[dict]) -> tuple[str, ...]:
-    """SOLVE_FIELDS for rows with these heads: without "z" when heads exist and none carries it."""
-    if not heads or any("z" in head for head in heads):
-        return SOLVE_FIELDS
-    return tuple(f for f in SOLVE_FIELDS if f != "z")
+def solve_fields(echo) -> tuple[str, ...]:
+    """SOLVE_FIELDS for solve_columns' echo: without "z" when records exist and none carries it."""
+    z = echo[2]
+    return tuple(f for f in SOLVE_FIELDS if f != "z") if z and z.count(_ABSENT) == len(z) else SOLVE_FIELDS
 
 
-def solved_rows(heads: list[dict], batch):
-    """solve's output rows, one per record, from the kernel's arrays."""
-    per_tuple = np.stack([batch.pose.theta, batch.pose.d_obj, batch.sigma_d, batch.weight], axis=2)
-    fused = zip(batch.d_fusion.tolist(), batch.theta_fusion.tolist(), batch.pose.observable.tolist())
-    for head, (d_fusion, theta_fusion, observable), values in zip(heads, fused, per_tuple):
-        row = {**head, "d_fusion": d_fusion, "theta_fusion": theta_fusion,
-               "theta_fusion_rule": THETA_FUSION_RULE}
-        for ref, ok, tuple_values in zip(KEYEDGES, observable, values.tolist()):
-            row.update((f"{name}_{ref}", v if ok else None) for name, v in zip(PER_TUPLE_FIELDS, tuple_values))
-        row["skipped"] = ";".join(f"{ref}:{UNOBSERVABLE}" for ref, ok in zip(KEYEDGES, observable) if not ok)
-        yield row
+def solved_rows(echo, batch):
+    """solve's output rows, one per record; a row carries z only when its record does."""
+    ok = batch.pose.observable
+    rows = _rows(SOLVE_FIELDS, [
+        *echo, batch.d_fusion.tolist(), batch.theta_fusion.tolist(), repeat(THETA_FUSION_RULE),
+        *(np.where(ok[:, k], values[:, k], None).tolist() for k in range(len(KEYEDGES))
+          for values in (batch.pose.theta, batch.pose.d_obj, batch.sigma_d, batch.weight)),
+        [";".join(f"{ref}:{UNOBSERVABLE}" for ref in compress(KEYEDGES, row)) for row in (~ok).tolist()],
+    ])
+    if _ABSENT in echo[2]:
+        return ({key: v for key, v in row.items() if v is not _ABSENT} for row in rows)
+    return rows
 
 
 def _bbox(rec: dict) -> tuple[float, float, float, float]:
@@ -802,12 +840,14 @@ def write_jsonl(path, records) -> int:
 
 
 def iter_jsonl(path):
-    """The objects of a JSON-lines file, one at a time; blank lines are skipped."""
-    with open(path, encoding="utf-8") as fh:
+    """The objects of a JSON-lines file, one at a time; blank lines are skipped, bad UTF-8 is a ParseError."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:
                 continue
+            if not line.isascii() and _UNDECODED.search(line):
+                raise ParseError(f"{path}: invalid UTF-8", line=line_no)
             try:
                 rec = json.loads(line)
             except (ValueError, RecursionError) as err:  # also an overlong integer, or deep nesting

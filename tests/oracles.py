@@ -3,6 +3,9 @@
 Everything here is deliberately written the slow, obvious way and shares no
 code with the package: matrix-based corner construction, explicit distance
 argmins, finite differences, and an exhaustive recall-sweep enumeration.
+The one exception is reference_solve_rows, which keeps solve's record
+plumbing of one record at a time around the package's own record checks
+and kernel, so that it pins the plumbing, not the maths.
 """
 
 from __future__ import annotations
@@ -192,6 +195,49 @@ def sequential_scene(cfg, focal, noise, max_retries, min_height):
         pose = (z * float(np.tan(gamma)), cfg.ground_y - height / 2.0, z, yaw, length, width, height)
         objects.append((pose, depths, heights, ratios, sigmas))
     return objects, redraws, clamped
+
+
+# ---------------------------------------------------------------------------
+# solve's rows built one record at a time.
+
+
+def reference_solve_rows(records):
+    """solve's output rows of valid records: each record checked and echoed in
+    turn, one kernel call over all of them, then each row built field by field.
+
+    A row echoes index, class_name (default ""), z when the record carries
+    it, and length and width as floats; a tuple's four fields are None when
+    it is unobservable, and skipped names those tuples.
+    """
+    from keyedge.dataio import THETA_FUSION_RULE, record_number, record_ratios, record_sigmas
+    from keyedge.recovery import UNOBSERVABLE, check_dims
+    from keyedge.uncertainty import solve_batch
+
+    heads, ratios, sigmas = [], [], []
+    for rec in records:
+        ratios.append(record_ratios(rec))
+        sigmas.append(record_sigmas(rec) or [math.nan] * 4)
+        dims = {key: record_number(rec, key) for key in ("length", "width")}
+        check_dims(**dims)
+        head = {"index": rec.get("index"), "class_name": rec.get("class_name", "")}
+        if "z" in rec:
+            head["z"] = rec["z"]
+        heads.append({**head, **dims})
+    batch = solve_batch(np.reshape(ratios, (-1, 4)), np.reshape(sigmas, (-1, 4)),
+                        [head["length"] for head in heads], [head["width"] for head in heads])
+    per_tuple = np.stack([batch.pose.theta, batch.pose.d_obj, batch.sigma_d, batch.weight], axis=2)
+    fused = zip(batch.d_fusion.tolist(), batch.theta_fusion.tolist(), batch.pose.observable.tolist())
+    rows = []
+    for head, (d_fusion, theta_fusion, observable), values in zip(heads, fused, per_tuple):
+        row = {**head, "d_fusion": d_fusion, "theta_fusion": theta_fusion,
+               "theta_fusion_rule": THETA_FUSION_RULE}
+        for ref, ok, tuple_values in zip(KEYEDGE_ORDER, observable, values.tolist()):
+            row.update((f"{name}_{ref}", v if ok else None)
+                       for name, v in zip(("theta", "d_obj", "sigma_d", "weight"), tuple_values))
+        row["skipped"] = ";".join(f"{ref}:{UNOBSERVABLE}" for ref, ok in zip(KEYEDGE_ORDER, observable)
+                                  if not ok)
+        rows.append(row)
+    return rows
 
 
 # ---------------------------------------------------------------------------

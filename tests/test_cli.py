@@ -1,12 +1,14 @@
 """End-to-end subcommand flows, exit codes, and byte determinism."""
 
 import csv
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -17,7 +19,7 @@ from keyedge.dataio import (
     BBOX_FIELDS, LABELGEN_FIELDS, PLAIN_FIELDS, RECORD_FIELDS, SOLVE_FIELDS, read_jsonl, write_jsonl,
 )
 from keyedge.geometry import normalize_angle
-from oracles import brute_force_arde, rotation_corners
+from oracles import STORED_PAIRS, brute_force_arde, reference_solve_rows, rotation_corners
 
 DATA = Path(__file__).parent / "data" / "kitti"
 # eval-arde on the fixture labels without frames (TestLabelgen), as the
@@ -179,6 +181,49 @@ def bad_arde_value(field):
     return bad
 
 
+JSON_SCALARS = st.none() | st.integers(-10, 10**6) | st.text(max_size=4)
+
+
+@st.composite
+def solve_records(draw):
+    """Valid solve records of random poses: ints among the floats, sigmas on some
+    records, z on all, some or none, odd index and class_name values, and tuple
+    b forced unobservable (r_ab = r_bc = 1) on some records."""
+    z_in = draw(st.sampled_from(["all", "some", "none"]), label="z in")
+    records = []
+    for _ in range(draw(st.integers(1, 6), label="records")):
+        z, gamma = draw(st.floats(4.0, 80.0)), draw(st.floats(-0.7, 0.7))
+        yaw, height = draw(st.floats(-math.pi, math.pi)), draw(st.floats(1.0, 2.5))
+        length = draw(st.integers(3, 5) | st.floats(3.0, 5.0))
+        width = draw(st.integers(1, 2) | st.floats(1.4, 2.0))
+        corners, _ = rotation_corners(z * math.tan(gamma), 1.65 - height / 2.0, z, length, width, height, yaw)
+        rec = {"index": draw(JSON_SCALARS), "length": length, "width": width}
+        if draw(st.booleans()):
+            rec["class_name"] = draw(JSON_SCALARS)
+        rec.update((key, float(corners[q][2] / corners[p][2])) for key, (p, q) in STORED_PAIRS.items())
+        if draw(st.booleans()):
+            rec.update(r_ab=1, r_bc=1)
+        if draw(st.booleans()):
+            rec.update((f"sigma_{key[2:]}", draw(st.floats(1e-4, 0.05) | st.just(1))) for key in STORED_PAIRS)
+        if z_in == "all" or z_in == "some" and draw(st.booleans()):
+            rec["z"] = draw(st.just(z) | JSON_SCALARS)  # echoed as read
+        records.append(rec)
+    return records
+
+
+def write_fifo(path, data):
+    """Make a FIFO at path and write data into it from a thread, once a reader opens it."""
+    os.mkfifo(path)
+
+    def write():
+        with open(path, "wb") as fh:
+            fh.write(data)
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    return writer
+
+
 class TestSolveFlow:
     def test_noise_free_round_trip(self, tmp_path):
         scene, est = tmp_path / "scene.jsonl", tmp_path / "est.jsonl"
@@ -320,6 +365,93 @@ class TestSolveFlow:
         assert capsys.readouterr().err.startswith("error: record 3 (index 3): ")
         assert not est.exists()
 
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(records=solve_records())
+    def test_rows_match_reference(self, tmp_path, records):
+        # solve reads its records as columns; its lines and CSV mirror are
+        # those of the record-at-a-time reference
+        src, est, mirror = tmp_path / "r.jsonl", tmp_path / "e.jsonl", tmp_path / "e.csv"
+        write_jsonl(src, records)
+        assert run("solve", "--in", src, "--out", est, "--csv-out", mirror) == 0
+        expected = reference_solve_rows(read_jsonl(src))
+        assert est.read_text().splitlines() == [json.dumps(row) for row in expected]
+        fields = [f for f in SOLVE_FIELDS if f != "z" or any("z" in rec for rec in records)]
+        text = io.StringIO()
+        writer = csv.DictWriter(text, fieldnames=fields, lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(expected)
+        assert mirror.read_bytes() == text.getvalue().encode()
+
+    def write_lines(self, path, *lines):
+        path.write_text("".join(line + "\n" for line in lines))
+
+    GOOD = json.dumps({"index": 0, "length": 4.0, "width": 2.0,
+                       "r_ab": 1.1, "r_bc": 0.9, "r_cd": 1.05, "r_da": 0.95})
+
+    def test_bad_record_before_invalid_json(self, tmp_path, capsys):
+        src, est = tmp_path / "r.jsonl", tmp_path / "e.jsonl"
+        bad = json.dumps({**json.loads(self.GOOD), "index": 8, "width": "2"})
+        self.write_lines(src, self.GOOD, bad, self.GOOD, "{oops")
+        assert run("solve", "--in", src, "--out", est) == 3
+        assert capsys.readouterr().err == "error: record 1 (index 8): width must be a number, got '2'\n"
+        assert not est.exists()
+
+    def test_invalid_json_after_clean_records(self, tmp_path, capsys):
+        src, est = tmp_path / "r.jsonl", tmp_path / "e.jsonl"
+        self.write_lines(src, self.GOOD, "", "{oops", json.dumps({"r_ab": "x"}))
+        assert run("solve", "--in", src, "--out", est) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid JSON: ") and err.endswith(" (line 3)\n")
+        assert not est.exists()
+
+    def test_earlier_of_two_bad_records(self, tmp_path, capsys):
+        # a partial sigma set on record 1, a NaN ratio on record 2
+        src, est = tmp_path / "r.jsonl", tmp_path / "e.jsonl"
+        good = json.loads(self.GOOD)
+        self.write_lines(src, self.GOOD, json.dumps({**good, "index": 5, "sigma_cd": 0.1}),
+                         json.dumps({**good, "index": 6, "r_ab": math.nan}))
+        assert run("solve", "--in", src, "--out", est) == 3
+        assert capsys.readouterr().err == "error: record 1 (index 5): missing field 'sigma_ab'\n"
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_fifo_input_read_once(self, tmp_path):
+        # --in may be a pipe: solve reads it once, also to name a bad record
+        scene = tmp_path / "scene.jsonl"
+        assert synth(scene, "--noise", "gaussian_height", "--sigma-px", "0.5", count=50) == 0
+        records = read_jsonl(scene)
+        bad = tmp_path / "bad.jsonl"
+        write_jsonl(bad, records[:3] + [{**records[3], "r_cd": True}] + records[4:])
+
+        def solve(src, est):
+            proc = subprocess.run([sys.executable, "-m", "keyedge", "solve", "--in", str(src),
+                                   "--out", str(est)], capture_output=True, env=module_env(), timeout=120)
+            return proc.returncode, proc.stderr, est.read_bytes() if est.exists() else None
+
+        for source, code in ((scene, 0), (bad, 3)):
+            fifo = tmp_path / f"{source.stem}.fifo"
+            writer = write_fifo(fifo, source.read_bytes())
+            from_fifo = solve(fifo, tmp_path / f"{source.stem}.fifo.out")
+            writer.join(timeout=10)
+            assert not writer.is_alive()
+            assert from_fifo == solve(source, tmp_path / f"{source.stem}.out")
+            assert from_fifo[0] == code
+        assert from_fifo[1:] == (b"error: record 3 (index 3): r_cd must be a number, got True\n", None)
+
+    def test_invalid_utf8_exit_3(self, tmp_path, capsys):
+        src, est = tmp_path / "r.jsonl", tmp_path / "e.jsonl"
+        for lines, err in (
+            ([self.GOOD.encode(), b"", b'{"index": "\xff"}'],
+             f"error: {src}: invalid UTF-8 (line 3)\n"),
+            # a bad record comes before a later bad byte
+            ([self.GOOD.replace("1.1", '"x"').encode(), b'{"index": "caf\xc3"}'],
+             "error: record 0 (index 0): r_ab must be a number, got 'x'\n"),
+        ):
+            src.write_bytes(b"\n".join(lines) + b"\n")
+            assert run("solve", "--in", src, "--out", est) == 3
+            assert capsys.readouterr().err == err
+            assert not est.exists()
+
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
@@ -383,6 +515,20 @@ class TestLabelgen:
         out = tmp_path / "gt.jsonl"
         assert run("labelgen", "--labels", labels,
                    "--calib", DATA / "calib" / "000001.txt", "--out", out) == 3
+
+    def test_invalid_utf8_exit_3(self, tmp_path, capsys):
+        labels, calib, out = tmp_path / "000001.txt", tmp_path / "calib.txt", tmp_path / "gt.jsonl"
+        good_label = label_line(0.0, 1.65, 10.0, 1.5, 1.8, 4.0, 0.5).encode()
+        good_calib = (DATA / "calib" / "000001.txt").read_bytes()
+        for label_bytes, calib_bytes, bad, line in (
+            (good_label + b"Caf\xe9 0.00 0 0.00\n", good_calib, labels, 2),
+            (good_label, b"\xff\n" * 2 + good_calib, calib, 1),
+        ):
+            labels.write_bytes(label_bytes)
+            calib.write_bytes(calib_bytes)
+            assert run("labelgen", "--labels", labels, "--calib", calib, "--out", out) == 3
+            assert capsys.readouterr().err == f"error: {bad}: invalid UTF-8 (line {line})\n"
+            assert not out.exists()
 
     def test_label_behind_camera_exit_3(self, tmp_path, capsys):
         labels = tmp_path / "000001.txt"
@@ -576,6 +722,14 @@ class TestEvalArde:
                    "--out", tmp_path / "r.json") == 3
         assert "detection 0: frame must be" in capsys.readouterr().err
 
+    def test_invalid_utf8_exit_3(self, tmp_path, capsys):
+        det_path, gt_path = self.write_inputs(tmp_path)
+        gt_path.write_bytes(gt_path.read_bytes() + b'{"frame": "\xfe"}\n')
+        assert run("eval-arde", "--detections", det_path, "--ground-truth", gt_path,
+                   "--out", tmp_path / "r.json") == 3
+        assert capsys.readouterr().err == f"error: {gt_path}: invalid UTF-8 (line {len(self.GT) + 1})\n"
+        assert not (tmp_path / "r.json").exists()
+
     def test_empty_ground_truth_exit_2(self, tmp_path):
         det_path, _ = self.write_inputs(tmp_path)
         gt_path = tmp_path / "empty.jsonl"
@@ -758,6 +912,25 @@ class TestModuleEntry:
         )
         assert proc.returncode == 0, proc.stderr
         assert len(read_jsonl(out)) == 3
+
+
+    def test_runtime_imports_only_stdlib_and_numpy(self):
+        # numpy is the one runtime dependency: importing the CLI, with no site
+        # hooks, loads nothing beyond the standard library, keyedge and numpy
+        import numpy
+
+        code = (
+            "import sys; sys.path[:0] = sys.argv[1:]; import keyedge.cli; "
+            "print(' '.join(sorted({name.split('.')[0] for name in sys.modules})))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", code, str(REPO / "src"), str(Path(numpy.__file__).parent.parent)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(proc.stdout.split())
+        assert {"keyedge", "numpy"} <= loaded
+        assert loaded - set(sys.stdlib_module_names) <= {"__main__", "keyedge", "numpy"}
 
 
 class TestBenchTracer:
