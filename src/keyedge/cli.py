@@ -16,7 +16,7 @@ Angles are degrees on the command line and radians in files.  Every
 stochastic command requires --seed and is byte-reproducible given one.
 
 Exit codes: 0 success, 2 usage or configuration error, 3 parse error,
-4 I/O error, 5 numeric degeneracy.
+4 I/O error, 5 numeric degeneracy (any keyedge.geometry.Degenerate).
 """
 
 from __future__ import annotations
@@ -52,11 +52,9 @@ from .dataio import (
     write_json,
     write_jsonl,
 )
-from .geometry import CameraIntrinsics, NonPositiveDepth, ZeroHeight, wrap_turn
-from .indexing import DegenerateObservation
+from .geometry import CameraIntrinsics, Degenerate, wrap_turn
 from .metrics import RECALL_POINTS, NoGroundTruth, arde, arde_by_viewing_angle
-from .recovery import AllDegenerate, UnobservableDistortion
-from .uncertainty import NonPositiveSigma, check_row, solve_batch
+from .uncertainty import check_row, solve_batch
 
 SENSITIVITY_FIELDS = (
     "noise_kind", "noise_param",
@@ -66,23 +64,13 @@ SENSITIVITY_FIELDS = (
     "mean_abs_yaw_error", "median_abs_yaw_error",
 )
 
-# Errors that mean the numbers, not the plumbing, gave out.
-DEGENERACY_ERRORS = (
-    UnobservableDistortion,
-    AllDegenerate,
-    NonPositiveDepth,
-    ZeroHeight,
-    DegenerateObservation,
-    NonPositiveSigma,
-)
-
 # First match wins.
 _EXIT_CODES = {
     ConfigError: 2,
     NoGroundTruth: 2,
     ParseError: 3,
     OSError: 4,
-    **dict.fromkeys(DEGENERACY_ERRORS, 5),
+    Degenerate: 5,
 }
 
 
@@ -271,7 +259,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     for row in np.flatnonzero(batch.failed)[:1].tolist():
         try:
             check_row(batch, row)
-        except DEGENERACY_ERRORS as err:
+        except Degenerate as err:
             raise type(err)(f"{record_name(row, {'index': echo[0][row]})}: {err}") from None
     _write_records(args, lambda: solved_rows(echo, batch), solve_fields(echo), "solved")
     return 0

@@ -840,7 +840,11 @@ def write_jsonl(path, records) -> int:
 
 
 def iter_jsonl(path):
-    """The objects of a JSON-lines file, one at a time; blank lines are skipped, bad UTF-8 is a ParseError."""
+    """The objects of a JSON-lines file, one at a time; blank lines are skipped.
+
+    Bad UTF-8, invalid JSON and a line that is not an object are each a
+    ParseError that names the path and the line.
+    """
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -851,9 +855,10 @@ def iter_jsonl(path):
             try:
                 rec = json.loads(line)
             except (ValueError, RecursionError) as err:  # also an overlong integer, or deep nesting
-                raise ParseError(f"invalid JSON: {getattr(err, 'msg', err)}", line=line_no) from None
+                reason = getattr(err, "msg", err)
+                raise ParseError(f"{path}: invalid JSON: {reason}", line=line_no) from None
             if not isinstance(rec, dict):
-                raise ParseError("expected a JSON object", line=line_no)
+                raise ParseError(f"{path}: expected a JSON object", line=line_no)
             yield rec
 
 

@@ -47,11 +47,15 @@ KEYEDGES = ("a", "b", "c", "d")
 RATIO_KEYS = ("r_ab", "r_bc", "r_cd", "r_da")
 
 
-class NonPositiveDepth(ValueError):
+class Degenerate(ValueError):
+    """Base of the errors where the numbers, not the input's form, gave out."""
+
+
+class NonPositiveDepth(Degenerate):
     """A depth that must be positive is zero or negative."""
 
 
-class ZeroHeight(ValueError):
+class ZeroHeight(Degenerate):
     """A keyedge visual height is zero or negative."""
 
 
@@ -210,13 +214,6 @@ def corner_columns(x, z, sin_t, cos_t, length, width):
     )
 
 
-def bev_corners(pose: BoxPose3D) -> dict[str, tuple[float, float]]:
-    """Bird's-eye-view (x, z) corners keyed a, b, c, d."""
-    a, b, c, d = corner_columns(pose.x, pose.z, math.sin(pose.yaw), math.cos(pose.yaw),
-                                pose.length, pose.width)
-    return {"a": a, "b": b, "c": c, "d": d}
-
-
 def keyedge_positions(pose: BoxPose3D) -> tuple[dict[str, tuple[float, float, float]], float]:
     """Bottom corners of the four keyedges plus their common height.
 
@@ -224,10 +221,9 @@ def keyedge_positions(pose: BoxPose3D) -> tuple[dict[str, tuple[float, float, fl
     the ground point of each vertical edge (y grows downward).
     """
     bottom_y = pose.y + pose.height / 2.0
-    corners = {
-        k: (cx, bottom_y, cz) for k, (cx, cz) in bev_corners(pose).items()
-    }
-    return corners, pose.height
+    bev = corner_columns(pose.x, pose.z, math.sin(pose.yaw), math.cos(pose.yaw),
+                         pose.length, pose.width)
+    return {k: (cx, bottom_y, cz) for k, (cx, cz) in zip(KEYEDGES, bev)}, pose.height
 
 
 def project_keyedges(pose: BoxPose3D, intr: CameraIntrinsics) -> KeyedgeObservation:

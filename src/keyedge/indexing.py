@@ -35,6 +35,9 @@ Exactly on a quarter boundary two corners are equidistant; ties break to
 the lowest letter at relative tolerance 1e-9.  (At alpha = -pi the
 tie-break picks a while the quarter rule says d; the set is measure zero
 and the emitted group always matches the letter actually used.)
+
+Both directions of the relabeling are one rotation of a..d: camera
+indices 1..4 are the nearest letter followed by the rest clockwise.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
-from .geometry import KEYEDGES, RATIO_KEYS, KeyedgeObservation, ZeroHeight, normalize_angle
+from .geometry import KEYEDGES, RATIO_KEYS, Degenerate, KeyedgeObservation, keyedge_ratios, normalize_angle
 
 # Nearest keyedge letter for each allocentric group.
 NEAREST_BY_GROUP = ("d", "c", "b", "a")
@@ -55,7 +58,7 @@ QUARTER_EDGES = (-math.pi / 2.0, 0.0, math.pi / 2.0)
 DISTANCE_TIE_REL = 1e-9
 
 
-class DegenerateObservation(ValueError):
+class DegenerateObservation(Degenerate):
     """Nearest-keyedge selection is ambiguous.
 
     The lowest-letter tie-break resolves every tie finite geometry can
@@ -134,21 +137,19 @@ class RatioTuple:
                 raise ValueError(f"{name} must be positive, got {v}")
 
 
+def _camera_order(nearest: str) -> tuple[str, ...]:
+    """Letters at camera indices 1..4: the nearest, then the rest clockwise."""
+    offset = KEYEDGES.index(nearest)
+    return KEYEDGES[offset:] + KEYEDGES[:offset]
+
+
 def camera_centric_view(obs: KeyedgeObservation) -> CameraCentricRatios:
     """Relabel an observation by camera distance and take its four ratios."""
     nearest = nearest_keyedge(obs.distances)
-    offset = KEYEDGES.index(nearest)
-    letters = [KEYEDGES[(offset + k) % 4] for k in range(4)]  # camera indices 1..4
-    h = obs.heights
-    for k in KEYEDGES:
-        if h[k] <= 0.0:
-            raise ZeroHeight(f"keyedge {k} height {h[k]} is not positive")
+    keyedge_ratios(obs)  # raises ZeroHeight
+    h1, h2, h3, h4 = (obs.heights[k] for k in _camera_order(nearest))
     return CameraCentricRatios(
-        r21=h[letters[1]] / h[letters[0]],
-        r41=h[letters[3]] / h[letters[0]],
-        r32=h[letters[2]] / h[letters[1]],
-        r34=h[letters[2]] / h[letters[3]],
-        group=GROUP_BY_NEAREST[nearest],
+        r21=h2 / h1, r41=h4 / h1, r32=h3 / h2, r34=h3 / h4, group=GROUP_BY_NEAREST[nearest]
     )
 
 
@@ -179,26 +180,8 @@ def object_centric_tuples(ratios: Mapping[str, float]) -> tuple[RatioTuple, ...]
 def to_object_centric_tuples(cc: CameraCentricRatios) -> tuple[RatioTuple, ...]:
     """Undo the cyclic relabeling and emit the four canonical tuples.
 
-    The four observed ratios cover each adjacent pair of the a-b-c-d cycle
-    exactly once in some direction; missing directions are reciprocals.
+    In camera order the stored ratio r_pq of each letter p and its
+    clockwise neighbour q is 1/r21, 1/r32, r34, r41.
     """
-    offset = KEYEDGES.index(NEAREST_BY_GROUP[cc.group])
-    letters = [KEYEDGES[(offset + k) % 4] for k in range(4)]
-    observed = {
-        (letters[1], letters[0]): cc.r21,
-        (letters[3], letters[0]): cc.r41,
-        (letters[2], letters[1]): cc.r32,
-        (letters[2], letters[3]): cc.r34,
-    }
-    canonical = {}
-    for (p, q), v in observed.items():
-        canonical[p + q] = v
-        canonical[q + p] = 1.0 / v
-    return object_centric_tuples(
-        {
-            "r_ab": canonical["ab"],
-            "r_bc": canonical["bc"],
-            "r_cd": canonical["cd"],
-            "r_da": canonical["da"],
-        }
-    )
+    stored = dict(zip(_camera_order(cc.nearest), (1.0 / cc.r21, 1.0 / cc.r32, cc.r34, cc.r41)))
+    return object_centric_tuples({key: stored[key[2]] for key in RATIO_KEYS})

@@ -8,7 +8,7 @@ Detections are visited once, in descending confidence order across all
 frames, and each claims the best-overlap unmatched ground truth of its
 frame: it is a true positive iff that overlap reaches ``iou_min``.  The
 confidence axis is then swept globally over the distinct confidence
-values (ties form atomic groups).  For each of ``recall_points`` evenly
+values (ties form atomic groups).  For each of ``RECALL_POINTS`` evenly
 spaced recall targets k/N the score is the mean relative depth error
 |d_est - d_gt| / d_gt over true positives at the highest cutoff whose
 recall reaches the target.  Unreachable targets contribute zero.  The
@@ -176,15 +176,12 @@ def arde(
     detections: list[DetectionRecord],
     ground_truths: list[GroundTruthRecord],
     iou_min: float = 0.7,
-    recall_points: int = RECALL_POINTS,
 ) -> float:
     """Mean of the suffix-max score envelope over the recall sweep."""
-    if recall_points < 1:
-        raise ValueError(f"recall_points must be >= 1, got {recall_points!r}")
     if not ground_truths:
         raise NoGroundTruth("ARDE requires at least one ground-truth object")
     results = match_detections(detections, ground_truths, iou_min)
-    return _sweep(results, detections, ground_truths, len(ground_truths), recall_points)
+    return _sweep(results, detections, ground_truths, len(ground_truths))
 
 
 def _sweep(
@@ -192,7 +189,6 @@ def _sweep(
     detections: list[DetectionRecord],
     ground_truths: list[GroundTruthRecord],
     n_gt: int,
-    recall_points: int,
 ) -> float:
     """ARDE of match results in visiting order, against n_gt ground truths."""
     # One pass over the descending-confidence list, closing a sweep level
@@ -214,19 +210,19 @@ def _sweep(
             levels.append((tp_count / n_gt, err_sum / tp_count))
 
     scores: list[float | None] = []
-    for k in range(1, recall_points + 1):
-        target = k / recall_points
+    for k in range(1, RECALL_POINTS + 1):
+        target = k / RECALL_POINTS
         scores.append(next((s for r, s in levels if r >= target), None))
 
-    envelope = [0.0] * recall_points
+    envelope = [0.0] * RECALL_POINTS
     running = 0.0
-    for k in range(recall_points - 1, -1, -1):
+    for k in range(RECALL_POINTS - 1, -1, -1):
         if scores[k] is not None:
             running = max(running, scores[k])
         envelope[k] = running
     for earlier, later in zip(envelope, envelope[1:]):
         assert earlier >= later, "score envelope must be non-increasing"
-    return sum(envelope) / recall_points
+    return sum(envelope) / RECALL_POINTS
 
 
 def arde_by_viewing_angle(
@@ -261,7 +257,7 @@ def arde_by_viewing_angle(
     for idx in range(len(bin_edges) - 1):
         n_gt = gt_bins.count(idx)
         rows = [row for row, b in zip(results, det_bins) if b == idx]
-        value = _sweep(rows, detections, ground_truths, n_gt, RECALL_POINTS) if n_gt else None
+        value = _sweep(rows, detections, ground_truths, n_gt) if n_gt else None
         bins.append(
             ArdeBin(
                 gamma_min=bin_edges[idx],

@@ -38,7 +38,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .geometry import KEYEDGES, wrap_turn
+from .geometry import KEYEDGES, Degenerate, wrap_turn
 from .indexing import RatioTuple
 
 # Below this distortion a tuple pins no depth: d_ref would exceed roughly
@@ -48,7 +48,7 @@ DEGENERACY_TOL = 1e-10
 UNOBSERVABLE = "unobservable distortion"  # the reason a skipped tuple carries
 
 
-class UnobservableDistortion(ValueError):
+class UnobservableDistortion(Degenerate):
     """Both ratios are too close to 1 to carry depth information."""
 
 
@@ -56,7 +56,7 @@ class InvalidDims(ValueError):
     """A physical dimension is zero, negative, or not finite."""
 
 
-class AllDegenerate(ValueError):
+class AllDegenerate(Degenerate):
     """Every tuple of an observation was unobservable."""
 
 
@@ -145,11 +145,7 @@ def solve_all(
     pairs.  Raises AllDegenerate when nothing survives.
     """
     tuples = list(tuples)
-    return row_estimates(tuples, solve_row(tuples, length, width))
-
-
-def row_estimates(tuples: Sequence[RatioTuple], inv: Inversion):
-    """solve_all's (estimates, skipped) from the tuples' solve_row inversion."""
+    inv = solve_row(tuples, length, width)
     columns = (a[0].tolist() for a in (inv.theta, inv.d_ref, inv.d_obj, inv.observable))
     rows = list(zip(tuples, *columns))
     estimates = [PoseEstimate(*values, t.reference) for t, *values, ok in rows if ok]

@@ -5,8 +5,9 @@ indexing.reference_pairs gives each reference's ratio and sigma pairs,
 recovery.invert gives theta, d_ref, d_obj and the closed-form partials of
 d_obj (checked against central finite differences in the tests),
 propagate_sigma gives each tuple's sigma_d, and the fuse stage gives the
-weights and the fused depth and yaw.  depth_partials, propagate_sigma,
-fuse and fuse_tuples are one-row views of the same stages.
+weights and the fused depth and yaw.  depth_partials, propagate_sigma
+and fuse are one-row views of the same stages; check_row raises the
+reason a failed row fused nothing.
 
 sigma_d sums |partial| * sigma per ratio.  Each term takes an absolute
 value so sigma_d is a nonnegative spread even when the partials carry
@@ -28,12 +29,12 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import recovery
-from .geometry import KEYEDGES, wrap_turn
+from .geometry import KEYEDGES, Degenerate, wrap_turn
 from .indexing import RatioTuple, reference_pairs
 from .recovery import PoseEstimate
 
 
-class NonPositiveSigma(ValueError):
+class NonPositiveSigma(Degenerate):
     """A sigma that must be positive (or nonnegative) is out of range."""
 
 
@@ -102,7 +103,7 @@ def solve_batch(R, S, L, W) -> Batch:
 
 
 def check_row(batch: Batch, row: int) -> None:
-    """Raise what fuse_tuples raises for the record: AllDegenerate, then NonPositiveSigma."""
+    """Raise why a failed row fused nothing: AllDegenerate, then NonPositiveSigma."""
     used = batch.pose.observable[row]
     if not used.any():
         raise recovery.AllDegenerate(f"no usable tuple among {list(KEYEDGES)}")
@@ -145,29 +146,6 @@ def fuse(members: Sequence[tuple[PoseEstimate, float]]) -> FusedEstimate:
     weight, d_fusion, theta_fusion = _fuse(theta, d_obj, np.array([sigma_d]), True)
     per_tuple = tuple(zip(estimates, sigma_d, weight[0].tolist()))
     return FusedEstimate(d_fusion.item(), theta_fusion.item(), per_tuple)
-
-
-def fuse_tuples(
-    tuples: Sequence[RatioTuple],
-    sigmas: dict[str, tuple[float, float]] | None,
-    length: float,
-    width: float,
-) -> tuple[FusedEstimate, list[tuple[str, str]]]:
-    """Solve every tuple once, propagate its sigmas, and fuse the survivors.
-
-    sigmas maps reference letter to (sigma1, sigma2); None means exact
-    ratios, solved with unit sigmas so every surviving tuple carries equal
-    per-ratio uncertainty.  Returns the fused estimate and solve_all's
-    (reference, reason) skips; raises AllDegenerate when nothing survives.
-    """
-    tuples = list(tuples)
-    inv = recovery.solve_row(tuples, length, width)
-    estimates, skipped = recovery.row_estimates(tuples, inv)
-    partials = zip(inv.p1[inv.observable].tolist(), inv.p2[inv.observable].tolist())
-    return fuse([
-        (est, propagate_sigma(p, *(sigmas[est.reference] if sigmas else (1.0, 1.0))))
-        for est, p in zip(estimates, partials)
-    ]), skipped
 
 
 def uncertainty_loss(r: float, sigma: float, r_star: float) -> float:

@@ -14,11 +14,16 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import keyedge.cli as cli
 from keyedge.cli import SENSITIVITY_FIELDS, main
 from keyedge.dataio import (
-    BBOX_FIELDS, LABELGEN_FIELDS, PLAIN_FIELDS, RECORD_FIELDS, SOLVE_FIELDS, read_jsonl, write_jsonl,
+    BBOX_FIELDS, LABELGEN_FIELDS, PLAIN_FIELDS, RECORD_FIELDS, SOLVE_FIELDS, ConfigError, ParseError,
+    read_jsonl, write_jsonl,
 )
-from keyedge.geometry import normalize_angle
+from keyedge.geometry import Degenerate, NonPositiveDepth, ZeroHeight, normalize_angle
+from keyedge.indexing import DegenerateObservation
+from keyedge.recovery import AllDegenerate, UnobservableDistortion
+from keyedge.uncertainty import NonPositiveSigma
 from oracles import STORED_PAIRS, brute_force_arde, reference_solve_rows, rotation_corners
 
 DATA = Path(__file__).parent / "data" / "kitti"
@@ -402,7 +407,7 @@ class TestSolveFlow:
         self.write_lines(src, self.GOOD, "", "{oops", json.dumps({"r_ab": "x"}))
         assert run("solve", "--in", src, "--out", est) == 3
         err = capsys.readouterr().err
-        assert err.startswith("error: invalid JSON: ") and err.endswith(" (line 3)\n")
+        assert err.startswith(f"error: {src}: invalid JSON: ") and err.endswith(" (line 3)\n")
         assert not est.exists()
 
     def test_earlier_of_two_bad_records(self, tmp_path, capsys):
@@ -730,6 +735,19 @@ class TestEvalArde:
         assert capsys.readouterr().err == f"error: {gt_path}: invalid UTF-8 (line {len(self.GT) + 1})\n"
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("text, message", [
+        (json.dumps(GT[0]) + "\n{oops\n",
+         "invalid JSON: Expecting property name enclosed in double quotes (line 2)"),
+        ("[1,2]\n", "expected a JSON object (line 1)"),
+    ])
+    def test_bad_ground_truth_line_names_its_file(self, tmp_path, capsys, text, message):
+        det_path, gt_path = self.write_inputs(tmp_path)
+        gt_path.write_text(text)
+        assert run("eval-arde", "--detections", det_path, "--ground-truth", gt_path,
+                   "--out", tmp_path / "r.json") == 3
+        assert capsys.readouterr().err == f"error: {gt_path}: {message}\n"
+        assert not (tmp_path / "r.json").exists()
+
     def test_empty_ground_truth_exit_2(self, tmp_path):
         det_path, _ = self.write_inputs(tmp_path)
         gt_path = tmp_path / "empty.jsonl"
@@ -886,6 +904,23 @@ class TestExitCodes:
 
     def test_missing_output_dir(self, tmp_path):
         assert synth(tmp_path / "missing" / "deep" / "s.jsonl") == 4
+
+    @pytest.mark.parametrize("error, code", [
+        *((cls, 5) for cls in (NonPositiveDepth, ZeroHeight, DegenerateObservation,
+                               UnobservableDistortion, AllDegenerate, NonPositiveSigma)),
+        (ParseError, 3), (ConfigError, 2),
+    ])
+    def test_exit_code_by_type(self, tmp_path, capsys, monkeypatch, error, code):
+        # the exit code follows the raised type; a degeneracy is any Degenerate
+        assert (error in Degenerate.__subclasses__()) == (code == 5)
+        assert issubclass(error, ValueError)
+
+        def handler(args):
+            raise error("no depth")
+
+        monkeypatch.setattr(cli, "_cmd_synth", handler)
+        assert synth(tmp_path / "s.jsonl") == code
+        assert capsys.readouterr().err == "error: no depth\n"
 
 
 def module_env():

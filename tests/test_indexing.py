@@ -48,6 +48,22 @@ def poses(draw):
     return BoxPose3D(center=(x, 1.65 - height / 2, z), dims=(length, width, height), yaw=yaw)
 
 
+def group_pose(alpha, x=4.0, z=15.0):
+    """A car-sized box off the optical axis whose allocentric angle is alpha."""
+    return BoxPose3D(center=(x, 0.9, z), dims=(4.4, 1.8, 1.5),
+                     yaw=normalize_angle(alpha + math.atan2(x, z)))
+
+
+# One pose inside each allocentric group, then the tie pose on the optical
+# axis at each quarter boundary, with the letter the tie breaks to.
+RELABEL_CASES = [
+    *((group_pose(alpha), letter) for alpha, letter in zip(
+        (-3 * math.pi / 4, -math.pi / 4, math.pi / 4, 3 * math.pi / 4), NEAREST_BY_GROUP)),
+    *((group_pose(edge, x=0.0), letter) for edge, letter in zip(
+        (-math.pi, -math.pi / 2, 0.0, math.pi / 2), "acba")),
+]
+
+
 def alpha_of(pose):
     return normalize_angle(pose.yaw - viewing_angle(pose.center))
 
@@ -190,6 +206,24 @@ class TestTupleConversion:
             assert d.reference == c.reference
             assert c.r1 == pytest.approx(d.r1, rel=1e-12)
             assert c.r2 == pytest.approx(d.r2, rel=1e-12)
+
+    @pytest.mark.parametrize("pose, nearest", RELABEL_CASES,
+                             ids=[f"group{g}" for g in range(4)] + ["tie-pi", "tie-pi/2", "tie0", "tie+pi/2"])
+    def test_relabel_is_one_rotation(self, pose, nearest):
+        # camera indices 1..4 read the oracle's nearest letter, then the rest
+        # clockwise; undoing the relabel gives the object-centric tuples
+        obs = project_keyedges(pose, INTR)
+        assert nearest_corner_by_distance(
+            pose.x, pose.y, pose.z, pose.length, pose.width, pose.height, pose.yaw) == nearest
+        i = KEYEDGES.index(nearest)
+        h1, h2, h3, h4 = (obs.heights[k] for k in KEYEDGES[i:] + KEYEDGES[:i])
+        cc = camera_centric_view(obs)
+        assert cc.nearest == nearest
+        assert (cc.r21, cc.r41, cc.r32, cc.r34) == (h2 / h1, h4 / h1, h3 / h2, h3 / h4)
+        direct = object_centric_tuples(keyedge_ratios(obs))
+        for got, want in zip(to_object_centric_tuples(cc), direct, strict=True):
+            assert got.reference == want.reference
+            assert (got.r1, got.r2) == pytest.approx((want.r1, want.r2), rel=1e-12, abs=0)
 
     def test_tuple_validation(self):
         with pytest.raises(ValueError):

@@ -34,7 +34,6 @@ from keyedge.uncertainty import (
     check_row,
     depth_partials,
     fuse,
-    fuse_tuples,
     propagate_sigma,
     solve_batch,
     uncertainty_loss,
@@ -245,27 +244,58 @@ def composed_fusion(tuples, sigmas, length, width):
     return fuse(members), skipped
 
 
-sigma_maps = st.none() | st.fixed_dictionaries(
-    {ref: st.tuples(st.floats(1e-4, 0.1), st.floats(1e-4, 0.1)) for ref in "abcd"}
-)
+def assert_row_matches(batch, n, fused, skipped, tuples):
+    """Kernel row n fused as fused and skipped say, to 1e-12.
+
+    Depths and sigmas match relatively, yaw in radians.
+    """
+    observable = batch.pose.observable[n]
+    assert not batch.failed[n]
+    assert skipped == [(t.reference, "unobservable distortion")
+                       for t, ok in zip(tuples, observable) if not ok]
+    assert fused.d_fusion == pytest.approx(batch.d_fusion[n], rel=1e-12)
+    assert abs(normalize_angle(fused.theta_fusion - batch.theta_fusion[n])) <= 1e-12
+    assert len(fused.per_tuple) == observable.sum()
+    for (est, sigma_d, weight), j in zip(fused.per_tuple, np.flatnonzero(observable)):
+        assert est.reference == "abcd"[j]
+        assert est.d_obj == pytest.approx(batch.pose.d_obj[n, j], rel=1e-12)
+        assert sigma_d == pytest.approx(batch.sigma_d[n, j], rel=1e-12)
+        assert weight == pytest.approx(batch.weight[n, j], rel=1e-12)
+
+
+def record_of(ratios, sigmas):
+    """A solve record of stored ratios in RATIO_KEYS order and, unless None, their sigmas."""
+    record = dict(zip(RATIO_KEYS, ratios))
+    if sigmas is not None:
+        record.update(zip(SIGMA_KEYS, sigmas))
+    return record
+
+
+sigma_rows = st.none() | st.lists(st.floats(1e-4, 0.1), min_size=4, max_size=4)
 
 
 class TestFuseTuples:
-    @given(poses(), sigma_maps)
+    # One solve_batch row fuses a projected pose's record as composed_fusion
+    # does on its tuples and per-reference sigmas.
+    def check_row_of(self, ratios, sigmas, pose):
+        record = record_of(ratios, sigmas)
+        tuples = object_centric_tuples(record)
+        fused, skipped = composed_fusion(tuples, record_ratio_sigmas(record), pose.length, pose.width)
+        batch = solve_batch([ratios], None if sigmas is None else [sigmas], [pose.length], [pose.width])
+        assert_row_matches(batch, 0, fused, skipped, tuples)
+        return skipped
+
+    @given(poses(), sigma_rows)
     @settings(max_examples=200)
     def test_equals_composition(self, pose, sigmas):
         tuples = to_object_centric_tuples(camera_centric_view(project_keyedges(pose, INTR)))
-        got = fuse_tuples(tuples, sigmas, pose.length, pose.width)
-        assert got == composed_fusion(tuples, sigmas, pose.length, pose.width)
+        self.check_row_of([t.r2 for t in tuples], sigmas, pose)  # r2 is the stored ratio r_ab .. r_da
 
-    @given(poses(), sigma_maps, st.integers(0, 3))
+    @given(poses(), sigma_rows, st.integers(0, 3))
     def test_equals_composition_with_degenerate_tuple(self, pose, sigmas, drop):
-        tuples = list(to_object_centric_tuples(camera_centric_view(project_keyedges(pose, INTR))))
-        tuples[drop] = RatioTuple(tuples[drop].reference, 1.0, 1.0)
-        fused, skipped = fuse_tuples(tuples, sigmas, pose.length, pose.width)
-        assert (tuples[drop].reference, "unobservable distortion") in skipped
-        assert len(fused.per_tuple) == 4 - len(skipped)
-        assert (fused, skipped) == composed_fusion(tuples, sigmas, pose.length, pose.width)
+        ratios = [t.r2 for t in to_object_centric_tuples(camera_centric_view(project_keyedges(pose, INTR)))]
+        ratios[drop - 1] = ratios[drop] = 1.0  # the two stored ratios tuple drop reads
+        assert ("abcd"[drop], "unobservable distortion") in self.check_row_of(ratios, sigmas, pose)
 
 
 class TestEndToEnd:
@@ -297,34 +327,25 @@ def raised(call):
 class TestSolveBatch:
     def test_rows_match_fuse_tuples(self):
         # 10k seeded rows, noisy and degenerate ones included: each kernel
-        # row fuses as fuse_tuples does on the record's tuples and sigmas, to
-        # 1e-12 (relative for depths and sigmas, in radians for yaw), and a
-        # row fails exactly where fuse_tuples raises, with its exception.
+        # row fuses as composed_fusion does on the record's tuples and
+        # sigmas, and a row fails exactly where composed_fusion raises, with
+        # its exception.
         R, S, L, W = gate_records(10_000, seed=11)
         batch = solve_batch(R, S, L, W)
         reasons = set()
         for n in range(len(R)):
-            record = dict(zip(RATIO_KEYS, R[n].tolist()))
-            if not np.isnan(S[n]).all():
-                record.update(zip(SIGMA_KEYS, S[n].tolist()))
+            record = record_of(R[n].tolist(), None if np.isnan(S[n]).all() else S[n].tolist())
             tuples = object_centric_tuples(record)
-            call = lambda: fuse_tuples(tuples, record_ratio_sigmas(record), L[n], W[n])
             error = raised(lambda: check_row(batch, n))
-            assert error == raised(call)
-            assert bool(batch.failed[n]) == (error is not None)
-            if error:
-                reasons.add(error[0].__name__)
+            try:
+                fused, skipped = composed_fusion(tuples, record_ratio_sigmas(record), L[n], W[n])
+            except ValueError as err:
+                assert error == (type(err), str(err))
+                assert batch.failed[n]
+                reasons.add(type(err).__name__)
                 continue
-            fused, skipped = call()
-            observable = batch.pose.observable[n]
-            assert skipped == [(t.reference, "unobservable distortion")
-                               for t, ok in zip(tuples, observable) if not ok]
-            assert fused.d_fusion == pytest.approx(batch.d_fusion[n], rel=1e-12)
-            assert abs(normalize_angle(fused.theta_fusion - batch.theta_fusion[n])) <= 1e-12
-            for (est, sigma_d, weight), j in zip(fused.per_tuple, np.flatnonzero(observable)):
-                assert est.reference == "abcd"[j]
-                assert sigma_d == pytest.approx(batch.sigma_d[n, j], rel=1e-12)
-                assert weight == pytest.approx(batch.weight[n, j], rel=1e-12)
+            assert error is None
+            assert_row_matches(batch, n, fused, skipped, tuples)
         assert reasons == {"AllDegenerate", "NonPositiveSigma"}
 
     def test_absent_sigmas_are_unit_sigmas(self):
