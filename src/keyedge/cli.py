@@ -216,12 +216,13 @@ def _check_paths(args: argparse.Namespace, inputs=()) -> None:
 def _write_records(args: argparse.Namespace, rows, fields, verb: str) -> None:
     """JSON-lines to --out and, if given, a CSV mirror to --csv-out.
 
-    rows() returns the records afresh for each file, so solve can stream
-    them.  The CSV header is fields, the command's schema for these rows.
+    rows builds the records afresh, a block at a time, on each pass, so
+    synth, labelgen and solve all stream them to both files.  The CSV
+    header is fields, the command's schema for these rows.
     """
-    count = write_jsonl(args.out, rows())
+    count = write_jsonl(args.out, rows)
     if args.csv_out:
-        write_csv(args.csv_out, rows(), fields=fields)
+        write_csv(args.csv_out, rows, fields=fields)
     print(f"{verb} {count} records to {args.out}")
 
 
@@ -241,14 +242,14 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     observed = observe_scene(scene, intr, noise)
     records = scene_records(observed, (intr.focal_length, *intr.principal_point), repeat(args.class_name))
     fields = PLAIN_FIELDS if observed.sigmas is None else RECORD_FIELDS
-    _write_records(args, lambda: records, fields, "wrote")
+    _write_records(args, records, fields, "wrote")
     return 0
 
 
 def _cmd_labelgen(args: argparse.Namespace) -> int:
     _check_paths(args, (("--labels", args.labels), ("--calib", args.calib)))
     records = kitti_records(args.labels, args.calib, args.skip_hard)
-    _write_records(args, lambda: records, LABELGEN_FIELDS, "wrote")
+    _write_records(args, records, LABELGEN_FIELDS, "wrote")
     return 0
 
 
@@ -260,8 +261,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         try:
             check_row(batch, row)
         except Degenerate as err:
-            raise type(err)(f"{record_name(row, {'index': echo[0][row]})}: {err}") from None
-    _write_records(args, lambda: solved_rows(echo, batch), solve_fields(echo), "solved")
+            raise type(err)(f"{record_name(row, {'index': echo[0].item(row)})}: {err}") from None
+    _write_records(args, solved_rows(echo, batch), solve_fields(echo), "solved")
     return 0
 
 

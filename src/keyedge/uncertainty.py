@@ -119,8 +119,12 @@ def depth_partials(t: RatioTuple, length: float, width: float) -> tuple[float, f
 def propagate_sigma(partials: tuple[float, float], sigma1: float, sigma2: float) -> float:
     """sigma_d = |p1| * sigma1 + |p2| * sigma2, for floats or arrays alike.
 
-    Zero sigmas are allowed (exact ratios give an exact depth); negative
-    ones are not.
+    Zero sigmas are allowed here, and exact ratios give a sigma_d of 0;
+    negative ones are not.  Fusion weights a tuple by 1/sigma_d, which has
+    no value at 0, so fuse refuses a sigma_d of 0, and solve_batch fails a
+    record that would use one: solve exits 5 on a record whose four
+    sigma_* are 0, with "record 0 (index 0): sigma_d must be positive,
+    got 0.0".
     """
     if np.any(np.less((sigma1, sigma2), 0.0)):
         raise NonPositiveSigma(f"sigmas must be nonnegative, got {sigma1}, {sigma2}")

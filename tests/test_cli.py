@@ -296,6 +296,17 @@ class TestSolveFlow:
         write_jsonl(src, [rec])
         assert run("solve", "--in", src, "--out", est) == 5
 
+    def test_zero_sigmas_exit_5(self, tmp_path, capsys):
+        # a zero sigma is read, but a tuple whose two ratio sigmas are 0 has a
+        # sigma_d of 0, which has no 1/sigma_d weight
+        rec = {"index": 0, "length": 4.0, "width": 2.0, "r_ab": 1.1, "r_bc": 0.9, "r_cd": 1.05, "r_da": 0.95,
+               "sigma_ab": 0.0, "sigma_bc": 0.0, "sigma_cd": 0.0, "sigma_da": 0.0}
+        src, est = tmp_path / "r.jsonl", tmp_path / "e.jsonl"
+        write_jsonl(src, [rec])
+        assert run("solve", "--in", src, "--out", est) == 5
+        assert capsys.readouterr().err == "error: record 0 (index 0): sigma_d must be positive, got 0.0\n"
+        assert not est.exists()
+
     def test_missing_field_exit_3(self, tmp_path, capsys):
         rec = {"index": 0, "length": 4.0, "width": 2.0,
                "r_ab": 1.1, "r_bc": 0.9, "r_cd": 1.05}  # r_da missing
