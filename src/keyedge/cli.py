@@ -24,7 +24,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from itertools import repeat
 from pathlib import Path
 
@@ -35,6 +35,7 @@ from .dataio import (
     NOISE_KINDS,
     PLAIN_FIELDS,
     RECORD_FIELDS,
+    SENSITIVITY_FIELDS,
     ConfigError,
     NoiseModel,
     ParseError,
@@ -45,6 +46,7 @@ from .dataio import (
     read_ground_truth,
     record_name,
     scene_records,
+    sensitivity_rows,
     solve_columns,
     solve_fields,
     solved_rows,
@@ -52,17 +54,9 @@ from .dataio import (
     write_json,
     write_jsonl,
 )
-from .geometry import CameraIntrinsics, Degenerate, wrap_turn
+from .geometry import CameraIntrinsics, Degenerate
 from .metrics import RECALL_POINTS, NoGroundTruth, arde, arde_by_viewing_angle
 from .uncertainty import check_row, solve_batch
-
-SENSITIVITY_FIELDS = (
-    "noise_kind", "noise_param",
-    "depth_min", "depth_max", "gamma_min_deg", "gamma_max_deg",
-    "trials", "n_failed",
-    "mean_rel_depth_error", "median_rel_depth_error",
-    "mean_abs_yaw_error", "median_abs_yaw_error",
-)
 
 # First match wins.
 _EXIT_CODES = {
@@ -300,26 +294,6 @@ def _cmd_eval_arde(args: argparse.Namespace) -> int:
 # Sensitivity grid.
 
 
-def _trial_errors(scene: SceneConfig, intr: CameraIntrinsics, noise: NoiseModel) -> tuple:
-    """n_failed, then mean and median of relative depth error and of absolute yaw error.
-
-    The scene's observed ratios and sigmas go to one solve_batch call as
-    columns.  A trial fails where it fuses nothing.
-    """
-    observed = observe_scene(scene, intr, noise)
-    batch = solve_batch(observed.ratios, observed.sigmas, observed.length, observed.width)
-    ok = ~batch.failed
-    rel_depth = (abs(batch.d_fusion - observed.z) / observed.z)[ok]
-    abs_yaw = abs(wrap_turn(batch.theta_fusion - observed.yaw))[ok]
-
-    def stats(values):
-        if not len(values):
-            return None, None
-        return float(values.mean()), float(np.median(values))
-
-    return (int(batch.failed.sum()), *stats(rel_depth), *stats(abs_yaw))
-
-
 def _cmd_sensitivity(args: argparse.Namespace) -> int:
     """One CSV row per (noise level, depth band, gamma bin) cell."""
     if args.trials <= 0:
@@ -330,26 +304,7 @@ def _cmd_sensitivity(args: argparse.Namespace) -> int:
     scene = _scene(args, args.trials)  # depth/gamma ranges are swapped in per cell
     intr = _intrinsics(args)
     _check_paths(args)
-    rows = []
-    for noise_idx, param in enumerate(params):
-        noise = NoiseModel(
-            kind=args.noise,
-            sigma_px=param if args.noise == "gaussian_height" else 0.0,
-            quantum_px=param if args.noise == "pixel_quantization" else 0.0,
-        )
-        for band_idx, band in enumerate(bands):
-            for bin_idx, (glo, ghi) in enumerate(gbins_deg):
-                # one scene seed per cell; its pose and noise streams both come from it
-                cell_seed = np.random.SeedSequence(args.seed, spawn_key=(noise_idx, band_idx, bin_idx))
-                cell = replace(
-                    scene,
-                    seed=int(cell_seed.generate_state(1, np.uint64)[0]),
-                    depth_range=band,
-                    gamma_range=(math.radians(glo), math.radians(ghi)),
-                )
-                errors = _trial_errors(cell, intr, noise)
-                rows.append(dict(zip(SENSITIVITY_FIELDS,
-                                     (noise.kind, param, *band, glo, ghi, args.trials, *errors))))
+    rows = sensitivity_rows(scene, intr, args.noise, params, bands, gbins_deg)
     write_csv(args.out, rows, fields=SENSITIVITY_FIELDS)
     print(f"wrote {len(rows)} cells to {args.out}")
     return 0

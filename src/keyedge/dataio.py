@@ -21,10 +21,10 @@ ratio sigmas are then first-order propagated from the per-height sigma.
 
 Scenes are columns: observe_scene draws a scene's poses and noise in
 blocks and returns its SceneColumns, which synth's records (scene_records)
-and the sensitivity grid read; labelgen's labels pass through the same
-projection stage and record builder.  generate_scene, perturb_heights,
-ratio_sigmas and object_record are views of these stages for callers that
-want objects.
+read; labelgen's labels pass through the same projection stage and record
+builder, and the sensitivity grid (sensitivity_rows) through it and the
+kernel, whole cells at a time.  observe_scene, generate_scene,
+perturb_heights, ratio_sigmas and object_record are views of these stages.
 
 Every record format lives here, solve's rows (SOLVE_FIELDS) included; one
 row builder makes every record from columns, and solve checks its records
@@ -68,6 +68,7 @@ from .geometry import (
 from .indexing import QUARTER_EDGES, RatioTuple, object_centric_tuples, reference_pairs
 from .metrics import DetectionRecord, GroundTruthRecord
 from .recovery import UNOBSERVABLE, check_dims
+from .uncertainty import solve_batch
 
 BBOX_FIELDS = ("bbox_left", "bbox_top", "bbox_right", "bbox_bottom")
 
@@ -100,12 +101,21 @@ SOLVE_FIELDS = (
     "skipped",
 )
 
+# sensitivity's rows, one per (noise level, depth band, gamma bin) cell
+SENSITIVITY_FIELDS = (
+    "noise_kind", "noise_param",
+    "depth_min", "depth_max", "gamma_min_deg", "gamma_max_deg",
+    "trials", "n_failed",
+    "mean_rel_depth_error", "median_rel_depth_error",
+    "mean_abs_yaw_error", "median_abs_yaw_error",
+)
+
 LABEL_FIELD_COUNT = 15
 MIN_HEIGHT_PX = 0.1  # clamp floor for perturbed heights
 # Column of each keyedge's clockwise neighbour in (N, 4) arrays: r_pq = h_p / h_q = d_q / d_p.
 NEXT_KEYEDGE = [1, 2, 3, 0]
 MAX_POSE_RETRIES = 100
-_BLOCK = 1024  # rows per block wherever records are built, read or written
+_BLOCK = 1024  # rows per block wherever records are built, read, written or solved
 _UNDECODED = re.compile("[\udc80-\udcff]")  # what errors="surrogateescape" makes of non-UTF-8 bytes
 
 
@@ -317,7 +327,7 @@ def kitti_records(labels: Path, calib: Path, skip_hard: bool = False) -> _Rows:
     if failure is not None:
         raise failure
     f, cx, cy = np.reshape(cameras, (-1, 3)).T
-    scene = _observe(pose, depths, f, NoiseModel(kind="none"))
+    scene = _observe(pose, depths, f, _row_noise(NoiseModel(kind="none"), len(depths), None))
     return scene_records(scene, (f, cx, cy), [lab.class_name for lab in kept], frame=frames)
 
 
@@ -486,29 +496,47 @@ def generate_scene(cfg: SceneConfig) -> list[BoxPose3D]:
     return _poses(_pose_columns(rows, cfg.ground_y))
 
 
-def _noisy_heights(clean: np.ndarray, noise: NoiseModel, rng) -> tuple[np.ndarray, int]:
-    """(N, 4) clean heights under the noise model, and how many it raised to MIN_HEIGHT_PX.
+class _RowNoise(NamedTuple):
+    """A noise model at N rows, so that rows of cells at several levels share one pass.
 
-    Only gaussian_height draws from rng: one normal(0, sigma_px, (N, 4)) block.
+    offsets is the (N, 4) gaussian_height draw, None for the other kinds;
+    quantum (pixel_quantization) and sigma (sigma_effective) are floats
+    when every row shares them, else (N, 1) columns.
     """
+
+    kind: str
+    offsets: np.ndarray | None
+    quantum: float | np.ndarray
+    sigma: float | np.ndarray
+
+
+def _row_noise(noise: NoiseModel, n: int, rng) -> _RowNoise:
+    """The noise model at n rows; only gaussian_height draws from rng: one normal(0, sigma_px, (n, 4))."""
+    offsets = rng.normal(0.0, noise.sigma_px, size=(n, 4)) if noise.kind == "gaussian_height" else None
+    return _RowNoise(noise.kind, offsets, noise.quantum_px, sigma_effective(noise))
+
+
+def _noisy_heights(clean: np.ndarray, noise: _RowNoise) -> tuple[np.ndarray, int]:
+    """(N, 4) clean heights under the row noise, and how many it raised to MIN_HEIGHT_PX."""
     if noise.kind == "none":
         return clean, 0
     if noise.kind == "gaussian_height":
-        noisy = clean + rng.normal(0.0, noise.sigma_px, size=clean.shape)
+        noisy = clean + noise.offsets
     else:
-        q = noise.quantum_px
+        q = noise.quantum
         noisy = q * np.round(clean / q)
     low = noisy < MIN_HEIGHT_PX
     return np.where(low, MIN_HEIGHT_PX, noisy), int(low.sum())
 
 
-def _ratio_sigmas(ratios: np.ndarray, heights: np.ndarray, noise: NoiseModel) -> np.ndarray | None:
-    """(N, 4) ratio sigmas of (N, 4) ratios and heights; None when the noise model has no sigma."""
-    s = sigma_effective(noise)
-    if s == 0.0:
-        return None
+def _ratio_sigmas(ratios: np.ndarray, heights: np.ndarray, sigma) -> np.ndarray:
+    """(N, 4) ratio sigmas of (N, 4) ratios and heights under per-height sigma, a float or an (N, 1) column.
+
+    A row whose sigma is 0 has no sigma: it gets NaN, which solve_batch reads as none given.
+    """
     inverse_square = 1.0 / heights ** 2
-    return ratios * s * np.sqrt(inverse_square + inverse_square[:, NEXT_KEYEDGE])
+    sigma = np.where(sigma > 0.0, sigma, np.nan)
+    return ratios * sigma * np.sqrt(inverse_square + inverse_square[:, NEXT_KEYEDGE])
 
 
 def _heights_row(obs: KeyedgeObservation) -> np.ndarray:
@@ -523,7 +551,7 @@ def perturb_heights(
     A one-row view of observe_scene's noise stage.  seed may be an integer
     or a numpy Generator; only gaussian_height consumes randomness.
     """
-    heights, _ = _noisy_heights(_heights_row(obs), noise, np.random.default_rng(seed))
+    heights, _ = _noisy_heights(_heights_row(obs), _row_noise(noise, 1, np.random.default_rng(seed)))
     return replace(obs, heights=dict(zip(KEYEDGES, heights[0].tolist())))
 
 
@@ -544,9 +572,18 @@ def ratio_sigmas(obs: KeyedgeObservation, noise: NoiseModel) -> dict[str, float]
     of observe_scene's sigma stage.  Returns None when the noise model
     contributes nothing, in which case records carry no sigma fields.
     """
+    sigma = sigma_effective(noise)
+    if sigma == 0.0:
+        return None
     ratios = np.array([list(keyedge_ratios(obs).values())])
-    sigmas = _ratio_sigmas(ratios, _heights_row(obs), noise)
-    return None if sigmas is None else dict(zip(SIGMA_KEYS, sigmas[0].tolist()))
+    return dict(zip(SIGMA_KEYS, _ratio_sigmas(ratios, _heights_row(obs), sigma)[0].tolist()))
+
+
+def _draw_cell(cfg: SceneConfig, noise: NoiseModel) -> tuple[np.ndarray, np.ndarray, int, _RowNoise]:
+    """_draw_poses(cfg), and the row noise of the noise stream, SeedSequence(seed, spawn_key=(1,))."""
+    rows, depths, redraws = _draw_poses(cfg)
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(1,)))
+    return rows, depths, redraws, _row_noise(noise, len(rows), rng)
 
 
 def observe_scene(cfg: SceneConfig, intr: CameraIntrinsics, noise: NoiseModel) -> SceneColumns:
@@ -558,23 +595,89 @@ def observe_scene(cfg: SceneConfig, intr: CameraIntrinsics, noise: NoiseModel) -
     SeedSequence(seed, spawn_key=(1,)).  So clean and noisy runs share
     their poses, and scenes are prefix stable under count changes.
     """
-    rows, depths, redraws = _draw_poses(cfg)
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(1,)))
-    return _observe(_pose_columns(rows, cfg.ground_y), depths, intr.focal_length, noise, rng, redraws)
+    rows, depths, redraws, row_noise = _draw_cell(cfg, noise)
+    return _observe(_pose_columns(rows, cfg.ground_y), depths, intr.focal_length, row_noise, redraws)
 
 
-def _observe(pose, depths, focal, noise: NoiseModel, rng=None, redraws: int = 0) -> SceneColumns:
+def _observe(pose, depths, focal, noise: _RowNoise, redraws: int = 0) -> SceneColumns:
     """SceneColumns of pose columns and their (N, 4) keyedge depths, seen through focal lengths.
 
     The keyedges project to h_i = f * height / d_i, focal being a float or
-    an (N,) column; the noise model draws from rng, and the ratios and
+    an (N,) column; the row noise perturbs the heights, and the ratios and
     sigmas follow from the noisy heights.
     """
     clean = np.reshape(focal, (-1, 1)) * pose[6][:, None] / depths
-    heights, clamped = _noisy_heights(clean, noise, rng)
+    heights, clamped = _noisy_heights(clean, noise)
     ratios = heights / heights[:, NEXT_KEYEDGE]
-    sigmas = _ratio_sigmas(ratios, heights, noise)
+    sigmas = _ratio_sigmas(ratios, heights, noise.sigma) if np.any(noise.sigma) else None
     return SceneColumns(*pose, depths, heights, ratios, sigmas, redraws, clamped)
+
+
+def sensitivity_rows(scene: SceneConfig, intr: CameraIntrinsics, kind: str,
+                     params, bands, gamma_bins_deg) -> list[dict]:
+    """sensitivity's rows (SENSITIVITY_FIELDS), one per (noise level, depth band, gamma bin) cell.
+
+    A cell is scene, with its count trials, in its band and bin (degrees),
+    under the seed SeedSequence(scene.seed, spawn_key=(level, band, bin)).
+    Each cell is drawn as observe_scene draws it; then up to _BLOCK rows of
+    whole cells (a wider cell alone) are projected, perturbed and solved in
+    one solve_batch call, so each row is what its cell alone gives.
+    """
+    if scene.count < 1:
+        raise ConfigError(f"trials must be positive, got {scene.count}")
+    cells = product(enumerate(params), enumerate(bands), enumerate(gamma_bins_deg))
+    rows = []
+    while group := list(islice(cells, max(1, _BLOCK // scene.count))):
+        rows += _group_rows(scene, intr, kind, group)  # a call, so that no group's arrays outlive it
+    return rows
+
+
+def _group_rows(scene: SceneConfig, intr: CameraIntrinsics, kind: str, group) -> list[dict]:
+    """The rows of a group of ((level, param), (band, range), (bin, range)) cells, solved in one call."""
+    trials, heads, drawn = scene.count, [], []
+    for (i, param), (j, band), (k, (glo, ghi)) in group:
+        noise = NoiseModel(kind, sigma_px=param if kind == "gaussian_height" else 0.0,
+                           quantum_px=param if kind == "pixel_quantization" else 0.0)
+        cell_seed = np.random.SeedSequence(scene.seed, spawn_key=(i, j, k))
+        cfg = replace(scene, seed=int(cell_seed.generate_state(1, np.uint64)[0]),
+                      depth_range=band, gamma_range=(math.radians(glo), math.radians(ghi)))
+        heads.append((kind, param, *band, glo, ghi, trials))
+        try:
+            drawn.append(_draw_cell(cfg, noise))
+        except ConfigError as err:  # named by its level, band and bin, as in its row
+            cell = ", ".join(f"{f}={v}" for f, v in zip(SENSITIVITY_FIELDS[1:6], heads[-1][1:6]))
+            raise ConfigError(f"cell ({cell}): {err}") from None
+    pose_rows, depths, _, noises = zip(*drawn)
+    _, offsets, quanta, sigmas = zip(*noises)
+    row_noise = _RowNoise(kind, None if offsets[0] is None else np.concatenate(offsets), *(
+        v[0] if len(set(v)) == 1 else np.repeat(v, trials)[:, None] for v in (quanta, sigmas)))
+    observed = _observe(_pose_columns(np.concatenate(pose_rows), scene.ground_y),
+                        np.concatenate(depths), intr.focal_length, row_noise)
+    del drawn, pose_rows, depths, noises, offsets, row_noise  # so that the solve's peak holds no draw
+    batch = solve_batch(observed.ratios, observed.sigmas, observed.length, observed.width)
+    rel_depth = abs(batch.d_fusion - observed.z) / observed.z
+    abs_yaw = abs(wrap_turn(batch.theta_fusion - observed.yaw))
+    errors = _cell_errors(batch.failed, rel_depth, abs_yaw, len(heads))
+    return [dict(zip(SENSITIVITY_FIELDS, (*head, *cell))) for head, cell in zip(heads, errors)]
+
+
+def _cell_errors(failed, rel_depth, abs_yaw, cells: int) -> list[tuple]:
+    """n_failed, then mean and median of relative depth error and of absolute yaw error, per cell.
+
+    The rows are cells of equal size, and a failed trial is left out.  A
+    cell's statistics are a row of the (cells, trials) matrix's, or, when
+    it has a failed trial, of its kept slice's, None when that is empty.
+    mean(axis=1) and np.median(axis=1) give a row the bits .mean() and
+    np.median give it alone; np.add.reduceat sums in another order.
+    """
+    failed, *matrices = (values.reshape(cells, -1) for values in (failed, rel_depth, abs_yaw))
+    stats = (stat(m, axis=1).tolist() for m in matrices for stat in (np.mean, np.median))
+    errors = list(zip(failed.sum(axis=1).tolist(), *stats))
+    for c in np.flatnonzero(failed.any(axis=1)).tolist():
+        kept = (m[c][~failed[c]] for m in matrices)
+        errors[c] = (errors[c][0], *chain.from_iterable(
+            (float(v.mean()), float(np.median(v))) if len(v) else (None, None) for v in kept))
+    return errors
 
 
 def object_record(index: int, class_name: str, pose: BoxPose3D, intr: CameraIntrinsics,

@@ -3,9 +3,11 @@
 Everything here is deliberately written the slow, obvious way and shares no
 code with the package: matrix-based corner construction, explicit distance
 argmins, finite differences, and an exhaustive recall-sweep enumeration.
-The one exception is reference_solve_rows, which keeps solve's record
+The exceptions are reference_solve_rows, which keeps solve's record
 plumbing of one record at a time around the package's own record checks
-and kernel, so that it pins the plumbing, not the maths.
+and kernel, and reference_sensitivity_rows, which keeps the sensitivity
+grid's plumbing of one cell at a time around the package's own scene stage
+and kernel, so that they pin the plumbing, not the maths.
 """
 
 from __future__ import annotations
@@ -237,6 +239,45 @@ def reference_solve_rows(records):
         row["skipped"] = ";".join(f"{ref}:{UNOBSERVABLE}" for ref, ok in zip(KEYEDGE_ORDER, observable)
                                   if not ok)
         rows.append(row)
+    return rows
+
+
+# ---------------------------------------------------------------------------
+# The sensitivity grid solved one cell at a time.
+
+
+def reference_sensitivity_rows(scene, intr, kind, params, bands, gamma_bins_deg):
+    """sensitivity's rows, each cell drawn by observe_scene and solved by its own solve_batch call.
+
+    Cell (level, band, bin) is scene under the seed SeedSequence(scene.seed,
+    spawn_key=(level, band, bin)), in that band and bin (degrees).  Its
+    statistics are .mean() and np.median of the trials that did not fail,
+    None when every trial failed.
+    """
+    from dataclasses import replace
+
+    from keyedge.dataio import SENSITIVITY_FIELDS, NoiseModel, observe_scene
+    from keyedge.geometry import wrap_turn
+    from keyedge.uncertainty import solve_batch
+
+    rows = []
+    for noise_idx, param in enumerate(params):
+        noise = NoiseModel(kind=kind, sigma_px=param if kind == "gaussian_height" else 0.0,
+                           quantum_px=param if kind == "pixel_quantization" else 0.0)
+        for band_idx, band in enumerate(bands):
+            for bin_idx, (glo, ghi) in enumerate(gamma_bins_deg):
+                cell_seed = np.random.SeedSequence(scene.seed, spawn_key=(noise_idx, band_idx, bin_idx))
+                cell = replace(scene, seed=int(cell_seed.generate_state(1, np.uint64)[0]), depth_range=band,
+                               gamma_range=(math.radians(glo), math.radians(ghi)))
+                observed = observe_scene(cell, intr, noise)
+                batch = solve_batch(observed.ratios, observed.sigmas, observed.length, observed.width)
+                stats = [int(batch.failed.sum())]
+                for errors in (abs(batch.d_fusion - observed.z) / observed.z,
+                               abs(wrap_turn(batch.theta_fusion - observed.yaw))):
+                    kept = errors[~batch.failed]
+                    stats += [float(kept.mean()), float(np.median(kept))] if len(kept) else [None, None]
+                head = (kind, param, *band, glo, ghi, scene.count)
+                rows.append(dict(zip(SENSITIVITY_FIELDS, (*head, *stats))))
     return rows
 
 

@@ -18,13 +18,15 @@ import keyedge.cli as cli
 from keyedge.cli import SENSITIVITY_FIELDS, main
 from keyedge.dataio import (
     BBOX_FIELDS, LABELGEN_FIELDS, PLAIN_FIELDS, RECORD_FIELDS, SOLVE_FIELDS, ConfigError, ParseError,
-    read_jsonl, write_jsonl,
+    SceneConfig, read_jsonl, write_csv, write_jsonl,
 )
-from keyedge.geometry import Degenerate, NonPositiveDepth, ZeroHeight, normalize_angle
+from keyedge.geometry import CameraIntrinsics, Degenerate, NonPositiveDepth, ZeroHeight, normalize_angle
 from keyedge.indexing import DegenerateObservation
 from keyedge.recovery import AllDegenerate, UnobservableDistortion
 from keyedge.uncertainty import NonPositiveSigma
-from oracles import STORED_PAIRS, brute_force_arde, reference_solve_rows, rotation_corners
+from oracles import (
+    STORED_PAIRS, brute_force_arde, reference_sensitivity_rows, reference_solve_rows, rotation_corners,
+)
 
 DATA = Path(__file__).parent / "data" / "kitti"
 # eval-arde on the fixture labels without frames (TestLabelgen), as the
@@ -844,6 +846,39 @@ class TestSensitivity:
         assert len(rows) == 2 * 2 * 2  # noise x band x bin
         assert [r["noise_param"] for r in rows] == ["0.25"] * 4 + ["0.5"] * 4
         assert [r["depth_min"] for r in rows[:4]] == ["5.0", "5.0", "20.0", "20.0"]
+
+    @pytest.mark.parametrize("trials", [1, 60, 1024, 1500])
+    @pytest.mark.parametrize("noise, params", [
+        ("gaussian_height", "0,0.5"),  # cells without sigmas share groups with cells with them
+        ("pixel_quantization", "0.4,1.6"),  # at 1.6 px some trials fail
+        ("none", "0"),
+    ])
+    def test_csv_matches_cell_by_cell_reference(self, tmp_path, noise, params, trials):
+        # 24 cells; at 60 trials they are solved 17 and 7 to a call, at 1,024 or more one to a call
+        out, want = tmp_path / "grid.csv", tmp_path / "want.csv"
+        assert run("sensitivity", "--seed", 7, "--trials", trials, "--out", out, "--noise", noise,
+                   "--noise-params", params, "--depth-bands", "5,20,40,60",
+                   "--gamma-bins-deg=-40,-20,0,20,40") == 0
+        levels = [0.0] if noise == "none" else [float(v) for v in params.split(",")]
+        rows = reference_sensitivity_rows(
+            SceneConfig(count=trials, seed=7), CameraIntrinsics(721.5377, (609.5593, 172.854)), noise,
+            levels, [(5.0, 20.0), (20.0, 40.0), (40.0, 60.0)],
+            [(-40.0, -20.0), (-20.0, 0.0), (0.0, 20.0), (20.0, 40.0)])
+        write_csv(want, rows, fields=SENSITIVITY_FIELDS)
+        assert out.read_bytes() == want.read_bytes()
+
+    @pytest.mark.parametrize("seed, trials, min_distortion, cell", [
+        (1, 5, 0.9, "noise_param=0.5, depth_min=5.0, depth_max=20.0"),
+        (3, 200, 0.2, "noise_param=0.5, depth_min=20.0, depth_max=40.0"),  # after one cell passed
+    ])
+    def test_pose_draw_error_names_its_cell(self, tmp_path, capsys, seed, trials, min_distortion, cell):
+        out = tmp_path / "grid.csv"
+        assert run("sensitivity", "--seed", seed, "--trials", trials, "--out", out,
+                   "--min-distortion", min_distortion) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cell ({cell}, gamma_min_deg=-40.0, gamma_max_deg=40.0): object ")
+        assert err.endswith(f": no acceptable pose in 100 draws (min_distortion={min_distortion})\n")
+        assert not out.exists()
 
     def test_noise_none_is_exact(self, tmp_path):
         out = tmp_path / "grid.csv"

@@ -17,6 +17,7 @@ from keyedge.dataio import (
     BBOX_FIELDS,
     PLAIN_FIELDS,
     RECORD_FIELDS,
+    SENSITIVITY_FIELDS,
     ConfigError,
     BehindCamera,
     KittiLabel,
@@ -42,6 +43,7 @@ from keyedge.dataio import (
     write_json,
     write_jsonl,
 )
+from keyedge.dataio import _cell_errors
 from keyedge.geometry import (
     CameraIntrinsics,
     BoxPose3D,
@@ -441,6 +443,33 @@ class TestObserveScene:
         with pytest.raises(ConfigError) as exc:
             observe_scene(cfg, INTR, GAUSSIAN)
         assert str(exc.value).startswith(f"object {index}: no acceptable pose in {MAX_POSE_RETRIES} draws")
+
+
+class TestCellErrors:
+    def test_a_cell_whose_every_trial_fails(self, tmp_path):
+        # the grid's per-cell reducer over one solve_batch call's rows
+        cells, trials = 3, 7
+        rng = np.random.default_rng(4)
+        rel_depth, abs_yaw = rng.random(cells * trials), rng.random(cells * trials)
+        none_failed = np.zeros(cells * trials, dtype=bool)
+        failed = none_failed.copy()
+        failed[trials:2 * trials] = True  # every trial of cell 1
+        failed[2 * trials + 3] = True  # one trial of cell 2
+        got = _cell_errors(failed, rel_depth, abs_yaw, cells)
+        clean = _cell_errors(none_failed, rel_depth, abs_yaw, cells)
+        assert got[1] == (trials, None, None, None, None)
+        assert got[0] == clean[0] and got[2] != clean[2]
+        # each cell's statistics are .mean() and np.median of its kept trials alone, to the bit
+        for errors, mask in ((got, failed), (clean, none_failed)):
+            for c in (0, 2):
+                cell = slice(c * trials, (c + 1) * trials)
+                kept = [values[cell][~mask[cell]] for values in (rel_depth, abs_yaw)]
+                assert errors[c] == (int(mask[cell].sum()), *(stat for v in kept for stat in (
+                    float(v.mean()), float(np.median(v)))))
+        # the failed cell's statistics are empty CSV cells
+        fields = SENSITIVITY_FIELDS[7:]
+        write_csv(tmp_path / "g.csv", [dict(zip(fields, got[1]))], fields=fields)
+        assert (tmp_path / "g.csv").read_text().splitlines()[1] == f"{trials},,,,"
 
 
 class TestSceneRecords:
