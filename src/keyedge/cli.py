@@ -31,10 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataio import (
-    LABELGEN_FIELDS,
     NOISE_KINDS,
-    PLAIN_FIELDS,
-    RECORD_FIELDS,
     SENSITIVITY_FIELDS,
     ConfigError,
     NoiseModel,
@@ -48,7 +45,6 @@ from .dataio import (
     scene_records,
     sensitivity_rows,
     solve_columns,
-    solve_fields,
     solved_rows,
     write_csv,
     write_json,
@@ -207,16 +203,16 @@ def _check_paths(args: argparse.Namespace, inputs=()) -> None:
             raise FileNotFoundError(f"{flag}: no such directory: {parent}")
 
 
-def _write_records(args: argparse.Namespace, rows, fields, verb: str) -> None:
+def _write_records(args: argparse.Namespace, rows, verb: str) -> None:
     """JSON-lines to --out and, if given, a CSV mirror to --csv-out.
 
     rows builds the records afresh, a block at a time, on each pass, so
     synth, labelgen and solve all stream them to both files.  The CSV
-    header is fields, the command's schema for these rows.
+    header is rows.fields, the command's schema for these rows.
     """
     count = write_jsonl(args.out, rows)
     if args.csv_out:
-        write_csv(args.csv_out, rows, fields=fields)
+        write_csv(args.csv_out, rows, fields=rows.fields)
     print(f"{verb} {count} records to {args.out}")
 
 
@@ -235,15 +231,14 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     _check_paths(args)
     observed = observe_scene(scene, intr, noise)
     records = scene_records(observed, (intr.focal_length, *intr.principal_point), repeat(args.class_name))
-    fields = PLAIN_FIELDS if observed.sigmas is None else RECORD_FIELDS
-    _write_records(args, records, fields, "wrote")
+    _write_records(args, records, "wrote")
     return 0
 
 
 def _cmd_labelgen(args: argparse.Namespace) -> int:
     _check_paths(args, (("--labels", args.labels), ("--calib", args.calib)))
     records = kitti_records(args.labels, args.calib, args.skip_hard)
-    _write_records(args, records, LABELGEN_FIELDS, "wrote")
+    _write_records(args, records, "wrote")
     return 0
 
 
@@ -256,7 +251,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             check_row(batch, row)
         except Degenerate as err:
             raise type(err)(f"{record_name(row, {'index': echo[0].item(row)})}: {err}") from None
-    _write_records(args, solved_rows(echo, batch), solve_fields(echo), "solved")
+    _write_records(args, solved_rows(echo, batch), "solved")
     return 0
 
 

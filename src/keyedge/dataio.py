@@ -27,8 +27,9 @@ kernel, whole cells at a time.  observe_scene, generate_scene,
 perturb_heights, ratio_sigmas and object_record are views of these stages.
 
 Every record format lives here, solve's rows (SOLVE_FIELDS) included; one
-row builder makes every record from columns, and solve checks its records
-as columns.  Every writer replaces its target only once it is whole.
+row builder makes every record from columns, and one reader checks every
+record file as columns by the schema of its kind (_SOLVE, _DETECTION,
+_GROUND_TRUTH).  Every writer replaces its target only once it is whole.
 
 Records are built, read and written in blocks of _BLOCK (1,024) rows.
 synth, labelgen and solve keep their columns as arrays and build row dicts
@@ -48,9 +49,9 @@ import os
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from itertools import chain, compress, islice, product
+from itertools import chain, compress, count, islice, product, repeat
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -67,7 +68,7 @@ from .geometry import (
 )
 from .indexing import QUARTER_EDGES, RatioTuple, object_centric_tuples, reference_pairs
 from .metrics import DetectionRecord, GroundTruthRecord
-from .recovery import UNOBSERVABLE, check_dims
+from .recovery import UNOBSERVABLE
 from .uncertainty import solve_batch
 
 BBOX_FIELDS = ("bbox_left", "bbox_top", "bbox_right", "bbox_bottom")
@@ -93,7 +94,7 @@ THETA_FUSION_RULE = "weighted_circular_mean"
 
 PER_TUPLE_FIELDS = ("theta", "d_obj", "sigma_d", "weight")
 
-# solve's rows; solve_fields drops "z" when records exist and none carries it.
+# solve's rows; "z" is left out of a row whose record has none, and of the header when none has (_Rows).
 SOLVE_FIELDS = (
     "index", "class_name", "z", "length", "width",
     "d_fusion", "theta_fusion", "theta_fusion_rule",
@@ -116,6 +117,7 @@ MIN_HEIGHT_PX = 0.1  # clamp floor for perturbed heights
 NEXT_KEYEDGE = [1, 2, 3, 0]
 MAX_POSE_RETRIES = 100
 _BLOCK = 1024  # rows per block wherever records are built, read, written or solved
+_ABSENT = object()  # what a record without a field reads as, where its schema gives no default
 _UNDECODED = re.compile("[\udc80-\udcff]")  # what errors="surrogateescape" makes of non-UTF-8 bytes
 
 
@@ -703,12 +705,22 @@ class _Rows:
     A column is an array, or a (values, present) pair of arrays whose row
     is None where present is False; the first column is an array.  Each
     pass over the rows builds them afresh from the columns, _BLOCK rows at
-    a time, so no more than one block of row dicts is ever held.  When
-    sparse, a field whose value is _ABSENT is left out of its row.
+    a time, so no more than one block of row dicts is ever held.  A value
+    that is _ABSENT, an optional echoed field its record lacks, is left out
+    of its row, and its field out of fields when there are rows and every
+    row lacks it: fields is the header of the rows' CSV.
     """
 
-    def __init__(self, fields, columns, sparse: bool = False):
-        self.fields, self.columns, self.sparse = fields, columns, sparse
+    def __init__(self, fields, columns):
+        self.fields, self.columns, self.sparse = [], [], False
+        for field, column in zip(fields, columns):
+            if isinstance(column, np.ndarray) and column.dtype == object:
+                lacking = [v is _ABSENT for v in column]
+                if lacking and all(lacking):
+                    continue
+                self.sparse = self.sparse or any(lacking)
+            self.fields.append(field)
+            self.columns.append(column)
 
     def __len__(self) -> int:
         return len(self.columns[0])
@@ -771,48 +783,142 @@ def _objects(values, n: int) -> np.ndarray:
     return np.fromiter(values, dtype=object, count=n)
 
 
-def record_number(record: dict, key: str) -> float:
-    """record[key] as a float; a JSON value that is not a number is a ParseError."""
-    value = record[key]
-    if type(value) not in (int, float):
-        raise ParseError(f"{key} must be a number, got {value!r}")
+def record_name(pos: int, record: dict) -> str:
+    """How solve names a record in an error: its 0-based position and its index field."""
+    return f"record {pos} (index {record.get('index')})"
+
+
+class _Rule(NamedTuple):
+    """A check on a float64 column: ok(values) is True where a value passes; problem is what a failure breaks."""
+
+    ok: Callable[[np.ndarray], np.ndarray]
+    problem: str
+
+
+_FINITE = _Rule(np.isfinite, "must be finite")
+_FINITE_POSITIVE = _Rule(lambda values: (0.0 < values) & (values < math.inf), "must be finite and positive")
+_FINITE_NONNEGATIVE = _Rule(lambda values: (0.0 <= values) & (values < math.inf), "must be finite and nonnegative")
+_POSITIVE = _FINITE_POSITIVE._replace(problem="must be positive")  # the dims, worded as recovery.check_dims
+
+
+class _Fields(NamedTuple):
+    """Fields read together, then each held to rule; with no rule, each is echoed as read.
+
+    A record that lacks a field reads as default, and a field with a rule is
+    absent where it reads so: a required group needs every field, an
+    optional one all or none, and an absent value is NaN.
+    """
+
+    keys: tuple[str, ...]
+    rule: _Rule | None = None
+    optional: bool = False
+    default: object = _ABSENT
+
+
+class _Schema(NamedTuple):
+    """A record kind: how a bad record is named, its fields in check order, and what builds a record of a row."""
+
+    name: Callable[[int, dict], str]
+    fields: tuple[_Fields, ...]
+    build: Callable | None = None
+
+
+_BOX = tuple(_Fields((key,), _FINITE) for key in BBOX_FIELDS)  # a built row opens with them, as bbox2d
+# solve's ratios and sigmas, which record_tuples and record_ratio_sigmas read alone, as one row
+_RATIOS = _Schema(record_name, (*(_Fields((key,), _FINITE_POSITIVE) for key in RATIO_KEYS),
+                                _Fields(SIGMA_KEYS, _FINITE_NONNEGATIVE, optional=True)), lambda *row: row)
+_SOLVE = _Schema(record_name, (
+    _Fields(("index",), default=None), _Fields(("class_name",), default=""), _Fields(("z",)),
+    *_RATIOS.fields, _Fields(("length", "width"), _POSITIVE),
+))
+_DETECTION = _Schema(lambda pos, _: f"detection {pos}", (
+    *_BOX, _Fields(("confidence",), _FINITE), _Fields(("d_est",), _FINITE_POSITIVE),
+    _Fields(("gamma_est",), _FINITE, optional=True, default=None),  # so a null gamma_est is none
+    _Fields(("frame",), default=None),
+), lambda *row: DetectionRecord(row[:4], *row[4:]))
+_GROUND_TRUTH = _Schema(lambda pos, _: f"ground truth {pos}", (
+    *_BOX, _Fields(("z",), _FINITE_POSITIVE), _Fields(("gamma",), _FINITE), _Fields(("frame",), default=None),
+), lambda *row: GroundTruthRecord(row[:4], *row[4:]))
+
+
+def _floats(key: str, values) -> np.ndarray:
+    """A field's values as float64; each must be a JSON number (a bool is none) in the float range."""
+    if not set(map(type, values)) <= {int, float}:
+        bad = next(v for v in values if type(v) not in (int, float))
+        raise ParseError(f"missing field {key!r}" if bad is _ABSENT else f"{key} must be a number, got {bad!r}")
     try:
-        return float(value)
-    except OverflowError:
+        return np.array(values, dtype=float)
+    except OverflowError:  # an int beyond the float range
         raise ParseError(f"{key} is beyond the float range") from None
 
 
-def _finite(record: dict, key: str, positive: bool = False) -> float:
-    """record_number(record, key), which must be finite, and positive when asked."""
-    value = record_number(record, key)
-    if not math.isfinite(value) or positive and value <= 0.0:
-        raise ParseError(f"{key} must be finite{' and positive' * positive}, got {value!r}")
-    return value
+def _checked(schema: _Schema, picked: list):
+    """The columns of the rows picked by schema's fields, or the records schema.build makes of their rows.
 
-
-def record_ratios(record: dict) -> list[float]:
-    """A record's four stored ratios in RATIO_KEYS order, each finite and positive."""
-    return [_finite(record, key, positive=True) for key in RATIO_KEYS]
-
-
-def record_sigmas(record: dict) -> list[float] | None:
-    """A record's four ratio sigmas in SIGMA_KEYS order, each finite and nonnegative.
-
-    Returns None when the record carries no sigma fields; one that carries
-    some must carry all four.
+    Each field is echoed as read (_echoed) or held to its rule, and the
+    first field to fail, in schema order, raises a ValueError.  A group's
+    fields are each read as numbers before any is held to the rule, so that
+    a block of one record fails as the record does.  build is given None
+    for an optional number that a row lacks.
     """
-    if not any(key in record for key in SIGMA_KEYS):
-        return None
-    sigmas = [record_number(record, key) for key in SIGMA_KEYS]
-    for key, s in zip(SIGMA_KEYS, sigmas):
-        if not (math.isfinite(s) and s >= 0.0):
-            raise ParseError(f"{key} must be finite and nonnegative, got {s!r}")
-    return sigmas
+    columns = iter(zip(*picked)) if picked else repeat(())
+    checked = {}
+    for group in schema.fields:
+        values = [next(columns) for _ in group.keys]
+        if group.rule is None:
+            checked.update(zip(group.keys, map(_echoed, values)))
+            continue
+        if group.optional:  # all or none: a row that has any of the fields must have each
+            has = np.array([[v is not group.default for v in column] for column in values], dtype=bool).any(axis=0)
+            values = [tuple(compress(column, has)) for column in values]
+        numbers = [_floats(key, column) for key, column in zip(group.keys, values)]
+        for key, column in zip(group.keys, numbers):
+            ok = group.rule.ok(column)
+            if not ok.all():
+                raise ParseError(f"{key} {group.rule.problem}, got {column[~ok][0].item()!r}")
+        if group.optional:
+            spread = np.full((len(numbers), len(has)), math.nan)
+            spread[:, has] = numbers
+            numbers = list(spread)
+        checked.update(zip(group.keys, numbers))
+    if schema.build is None:
+        return checked
+    values = [(np.where(np.isnan(checked[key]), None, checked[key]) if group.optional else checked[key]).tolist()
+              for group in schema.fields for key in group.keys]
+    return [schema.build(*row) for row in zip(*values)]
+
+
+def _blocks(schema: _Schema, records):
+    """The records checked by schema (_checked), _BLOCK at a time, each block whole before it is given.
+
+    Only in a block whose check fails, or where a line that fails to decode
+    ended the read, are the records checked one at a time, by the same
+    rules, to name the first bad one in file order; the decoding error is
+    raised when none before it is bad.
+    """
+    keys = [key for group in schema.fields for key in group.keys]
+    defaults = [group.default for group in schema.fields for _ in group.keys]
+    for start in count(0, _BLOCK):
+        picked = []
+        try:
+            for rec in islice(records, _BLOCK):
+                picked.append(tuple(map(rec.get, keys, defaults)))
+            yield _checked(schema, picked)
+        except ValueError as err:  # a line that failed to decode, or a bad record among those picked
+            for pos, row in enumerate(picked, start):
+                try:
+                    _checked(schema, [row])
+                except ValueError as bad:  # a record's own checks, such as its box's order, included
+                    raise ParseError(f"{schema.name(pos, dict(zip(keys, row)))}: {bad}") from None
+            raise err
+        if len(picked) < _BLOCK:
+            return
 
 
 def record_tuples(record: dict) -> tuple[RatioTuple, ...]:
     """Canonical tuples from a record's four stored ratios."""
-    return object_centric_tuples(dict(zip(RATIO_KEYS, record_ratios(record))))
+    (row,) = next(_blocks(_RATIOS, iter([record])))
+    return object_centric_tuples(dict(zip(RATIO_KEYS, row)))
 
 
 def record_ratio_sigmas(record: dict) -> dict[str, tuple[float, float]] | None:
@@ -822,79 +928,11 @@ def record_ratio_sigmas(record: dict) -> dict[str, tuple[float, float]] | None:
     as sigma(1/r) = sigma(r) / r^2.  Returns None when the record carries
     no sigma fields.
     """
-    sigmas = record_sigmas(record)
-    if sigmas is None:
+    (row,) = next(_blocks(_RATIOS, iter([record])))
+    if row[len(RATIO_KEYS)] is None:
         return None
-    _, pairs = reference_pairs(record_ratios(record), sigmas)
+    _, pairs = reference_pairs(row[:len(RATIO_KEYS)], row[len(RATIO_KEYS):])
     return dict(zip(KEYEDGES, pairs))
-
-
-def record_name(pos: int, record: dict) -> str:
-    """How solve names a record in an error: its 0-based position and its index field."""
-    return f"record {pos} (index {record.get('index')})"
-
-
-def parse_records(records, parse, name) -> list:
-    """parse(rec) for each record, in order; a bad record is named by name(pos, rec).
-
-    A missing field raises ParseError("<name>: missing field 'k'"), and a
-    TypeError or ValueError raised by parse raises ParseError("<name>: <reason>").
-    """
-    parsed = []
-    for pos, rec in enumerate(records):
-        try:
-            parsed.append(parse(rec))
-        except KeyError as err:
-            raise ParseError(f"{name(pos, rec)}: missing field {err.args[0]!r}") from None
-        except (TypeError, ValueError) as err:
-            raise ParseError(f"{name(pos, rec)}: {err}") from None
-    return parsed
-
-
-def _solve_input(rec: dict) -> None:
-    """Raise the first problem of a solve record: its ratios, then its sigmas, then its dims."""
-    record_ratios(rec)
-    record_sigmas(rec)
-    check_dims(*(record_number(rec, key) for key in ("length", "width")))
-
-
-_ABSENT = object()  # what solve picks for a field its record lacks, unless _SOLVE_PICKS names a default
-_SOLVE_PICKS = {"index": None, "class_name": "", "z": _ABSENT,
-                **dict.fromkeys((*RATIO_KEYS, "length", "width", *SIGMA_KEYS), _ABSENT)}
-
-
-def _checked_numbers(numbers) -> tuple | None:
-    """(R, S, L, W) of the picked ratio, dim and sigma columns; None where _solve_input refuses a record."""
-    present = np.array([[v is not _ABSENT for v in column] for column in numbers[6:]], dtype=bool)
-    sigmas = [list(compress(column, present[0])) for column in numbers[6:]]
-    if (present != present[0]).any() or not set(map(type, chain(*numbers[:6], *sigmas))) <= {int, float}:
-        return None  # a record with only some of the four sigmas, or a value that is no JSON number
-    try:
-        positive, sigmas = np.array(numbers[:6], dtype=float), np.array(sigmas, dtype=float)
-    except OverflowError:  # an int beyond the float range
-        return None
-    if not (((0.0 < positive) & (positive < math.inf)).all()
-            and ((0.0 <= sigmas) & (sigmas < math.inf)).all()):
-        return None
-    S = np.full((len(present[0]), 4), math.nan)
-    S[present[0]] = sigmas.T
-    return positive[:4].T, S, *positive[4:]
-
-
-def _solve_block(picked: list, start: int, failure: ParseError | None = None) -> tuple:
-    """The echoed index, class_name and z (_echoed), then (R, S, L, W), of the records picked from start on.
-
-    When a column check fails, or failure ended the read within the block,
-    the block's records are checked one at a time, to name the first bad
-    one in file order, and failure is raised if none is.
-    """
-    columns = list(zip(*picked)) or [()] * len(_SOLVE_PICKS)
-    numbers = None if failure else _checked_numbers(columns[3:])
-    if numbers is None:
-        records = ({key: v for key, v in zip(_SOLVE_PICKS, row) if v is not _ABSENT} for row in picked)
-        parse_records(records, _solve_input, lambda pos, rec: record_name(start + pos, rec))
-        raise failure  # the column checks fail exactly where _solve_input does
-    return (*map(_echoed, columns[:3]), *numbers)
 
 
 def _echoed(values: tuple) -> np.ndarray:
@@ -925,35 +963,15 @@ def solve_columns(path) -> tuple[tuple, tuple]:
     """The columns each output row echoes and solve_batch's (R, S, L, W), from one read of a JSON-lines file.
 
     The echo is index, class_name, z (_ABSENT where a record has none), length and width; S is
-    NaN where a record has no sigma fields.  The records are picked and checked as columns
-    _BLOCK at a time, and every record is read and checked before this returns.  Only in a
-    block whose column check fails, or where a line fails to decode, are the records checked
-    one at a time, to name the first bad one in file order.
+    NaN where a record has no sigma fields.  The records are checked by solve's schema
+    (_blocks), and every record is read and checked before this returns.
     """
-    records, blocks = iter_jsonl(path), []
-    while not blocks or len(blocks[-1][0]) == _BLOCK:  # until a block comes back short
-        picked, failure = [], None
-        try:
-            for rec in islice(records, _BLOCK):
-                picked.append(tuple(map(rec.get, _SOLVE_PICKS, _SOLVE_PICKS.values())))
-        except ParseError as err:
-            failure = err
-        blocks.append(_solve_block(picked, len(blocks) * _BLOCK, failure))
-    index, class_name, z, R, S, L, W = (_joined(parts) for parts in zip(*blocks))
+    parts = [(block["index"], block["class_name"], block["z"],
+              np.stack([block[key] for key in RATIO_KEYS], axis=1),
+              np.stack([block[key] for key in SIGMA_KEYS], axis=1), block["length"], block["width"])
+             for block in _blocks(_SOLVE, iter_jsonl(path))]
+    index, class_name, z, R, S, L, W = (_joined(column) for column in zip(*parts))
     return (index, class_name, z, L, W), (R, S, L, W)
-
-
-def solve_fields(echo) -> tuple[str, ...]:
-    """SOLVE_FIELDS for solve_columns' echo: without "z" when records exist and none carries it."""
-    absent = _absent(echo[2])
-    return tuple(f for f in SOLVE_FIELDS if f != "z") if len(absent) and absent.all() else SOLVE_FIELDS
-
-
-def _absent(z: np.ndarray) -> np.ndarray:
-    """Where solve_columns' z echo holds no z."""
-    if z.dtype != object:
-        return np.zeros(len(z), dtype=bool)
-    return np.array([v is _ABSENT for v in z], dtype=bool)
 
 
 # the skipped field of each (4,) unobservable mask, at the mask's bits read as a binary number
@@ -962,45 +980,24 @@ _SKIPPED = np.array([";".join(f"{ref}:{UNOBSERVABLE}" for ref in compress(KEYEDG
 
 
 def solved_rows(echo, batch) -> _Rows:
-    """solve's output rows, one per record; a row carries z only when its record does."""
+    """solve's output rows, one per record, echoing solve_columns' echo."""
     ok = batch.pose.observable
     return _Rows(SOLVE_FIELDS, [
         *echo, batch.d_fusion, batch.theta_fusion, np.full(len(ok), THETA_FUSION_RULE, dtype=object),
         *((values[:, k], ok[:, k]) for k in range(len(KEYEDGES))
           for values in (batch.pose.theta, batch.pose.d_obj, batch.sigma_d, batch.weight)),
         _SKIPPED[~ok @ (1 << np.arange(len(KEYEDGES) - 1, -1, -1))],
-    ], sparse=_absent(echo[2]).any())
-
-
-def _bbox(rec: dict) -> tuple[float, float, float, float]:
-    return tuple(_finite(rec, key) for key in BBOX_FIELDS)
-
-
-def _detection(rec: dict) -> DetectionRecord:
-    return DetectionRecord(
-        bbox2d=_bbox(rec),
-        confidence=_finite(rec, "confidence"),
-        d_est=_finite(rec, "d_est", positive=True),
-        gamma_est=None if rec.get("gamma_est") is None else _finite(rec, "gamma_est"),
-        frame=rec.get("frame"),
-    )
-
-
-def _ground_truth(rec: dict) -> GroundTruthRecord:
-    return GroundTruthRecord(
-        bbox2d=_bbox(rec), d_gt=_finite(rec, "z", positive=True), gamma_gt=_finite(rec, "gamma"),
-        frame=rec.get("frame"),
-    )
+    ])
 
 
 def read_detections(path) -> list[DetectionRecord]:
-    """eval-arde's detections; a bad one is named "detection <0-based position>"."""
-    return parse_records(read_jsonl(path), _detection, lambda pos, _: f"detection {pos}")
+    """eval-arde's detections, checked by _DETECTION; a bad one is named "detection <0-based position>"."""
+    return list(chain.from_iterable(_blocks(_DETECTION, iter(read_jsonl(path)))))
 
 
 def read_ground_truth(path) -> list[GroundTruthRecord]:
-    """eval-arde's ground truth; a bad one is named "ground truth <0-based position>"."""
-    return parse_records(read_jsonl(path), _ground_truth, lambda pos, _: f"ground truth {pos}")
+    """eval-arde's ground truth, checked by _GROUND_TRUTH; a bad one is named "ground truth <0-based position>"."""
+    return list(chain.from_iterable(_blocks(_GROUND_TRUTH, iter(read_jsonl(path)))))
 
 
 @contextmanager

@@ -204,23 +204,26 @@ def sequential_scene(cfg, focal, noise, max_retries, min_height):
 
 
 def reference_solve_rows(records):
-    """solve's output rows of valid records: each record checked and echoed in
+    """solve's output rows of valid records: each record read and echoed in
     turn, one kernel call over all of them, then each row built field by field.
 
     A row echoes index, class_name (default ""), z when the record carries
     it, and length and width as floats; a tuple's four fields are None when
-    it is unobservable, and skipped names those tuples.
+    it is unobservable, and skipped names those tuples.  The records are
+    valid, so their numbers are read with float alone, not with the reader
+    under test.
     """
-    from keyedge.dataio import THETA_FUSION_RULE, record_number, record_ratios, record_sigmas
-    from keyedge.recovery import UNOBSERVABLE, check_dims
+    from keyedge.dataio import SIGMA_KEYS, THETA_FUSION_RULE
+    from keyedge.geometry import RATIO_KEYS
+    from keyedge.recovery import UNOBSERVABLE
     from keyedge.uncertainty import solve_batch
 
     heads, ratios, sigmas = [], [], []
     for rec in records:
-        ratios.append(record_ratios(rec))
-        sigmas.append(record_sigmas(rec) or [math.nan] * 4)
-        dims = {key: record_number(rec, key) for key in ("length", "width")}
-        check_dims(**dims)
+        ratios.append([float(rec[key]) for key in RATIO_KEYS])
+        has_sigmas = any(key in rec for key in SIGMA_KEYS)
+        sigmas.append([float(rec[key]) if has_sigmas else math.nan for key in SIGMA_KEYS])
+        dims = {key: float(rec[key]) for key in ("length", "width")}
         head = {"index": rec.get("index"), "class_name": rec.get("class_name", "")}
         if "z" in rec:
             head["z"] = rec["z"]

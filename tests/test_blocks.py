@@ -1,8 +1,9 @@
 """synth, labelgen and solve build, read and write their rows in blocks.
 
-Rows are built from columns, and solve's input is picked and checked,
-1,024 records at a time.  The counts here sit on both sides of a block
-boundary, and the rows must be those built one record at a time.
+Rows are built from columns, and the input of solve and eval-arde is
+picked and checked, 1,024 records at a time.  The counts here sit on both
+sides of a block boundary, and the rows must be those built one record at
+a time.
 """
 
 import csv
@@ -170,6 +171,28 @@ class TestBlockBoundaries:
         lines[1600] = "{oops"
         code, err = self.solve_fails(tmp_path, capsys, lines)
         assert (code, err) == (3, "error: record 1000 (index 1000): width must be positive, got -2.0\n")
+
+    @pytest.mark.parametrize("side, edits, message", [
+        ("detection", {3: {"bbox_left": 20.0}, 1500: {"confidence": "x"}},
+         "detection 3: bbox2d must satisfy left < right and top < bottom, got (20.0, 0.0, 10.0, 10.0)"),
+        ("ground truth", {1030: {"z": -1.0}, 2: {"frame": 1.5}},
+         "ground truth 2: frame must be an integer, a string or None, got 1.5"),
+    ])
+    def test_eval_arde_bad_record_named_in_file_order(self, tmp_path, capsys, side, edits, message):
+        # a fault that only building the record finds (its box's order, its
+        # frame) in the first block comes before a field that fails its
+        # check in a later block
+        box = {"bbox_left": 0.0, "bbox_top": 0.0, "bbox_right": 10.0, "bbox_bottom": 10.0}
+        records = {"detection": [{**box, "confidence": 0.5, "d_est": 10.0} for _ in range(2100)],
+                   "ground truth": [{**box, "z": 10.0, "gamma": 0.1} for _ in range(2100)]}
+        for pos, fields in edits.items():
+            records[side][pos].update(fields)
+        det, gt, report = tmp_path / "d.jsonl", tmp_path / "g.jsonl", tmp_path / "r.json"
+        write_jsonl(det, records["detection"])
+        write_jsonl(gt, records["ground truth"])
+        assert run("eval-arde", "--detections", det, "--ground-truth", gt, "--out", report) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not report.exists()
 
     def test_degenerate_record_in_second_block(self, tmp_path, capsys, scene_file):
         records = read_jsonl(scene_file)

@@ -43,7 +43,7 @@ from keyedge.dataio import (
     write_json,
     write_jsonl,
 )
-from keyedge.dataio import _cell_errors
+from keyedge.dataio import _DETECTION, _GROUND_TRUTH, _SOLVE, SIGMA_KEYS, _blocks, _cell_errors
 from keyedge.geometry import (
     CameraIntrinsics,
     BoxPose3D,
@@ -57,6 +57,9 @@ from keyedge.geometry import (
 from keyedge.indexing import allocentric_group, camera_centric_view, object_centric_tuples
 from keyedge.recovery import solve_all
 from oracles import sequential_scene
+from test_cli import (
+    DETECTION_FIELDS, GROUND_TRUTH_FIELDS, MISSING, SOLVE_NUMBERS, bad_arde_value, bad_solve_value, unit_box_fields,
+)
 
 DATA = Path(__file__).parent / "data" / "kitti"
 INTR = CameraIntrinsics(focal_length=721.5377, principal_point=(609.5593, 172.854))
@@ -735,3 +738,79 @@ class TestSerialization:
         finally:
             os.close(reader)
         assert sorted(os.listdir(tmp_path)) == ["link.jsonl", "pipe", "target.jsonl"]
+
+
+# Each record kind's schema, the fields given bad values, and the values drawn for them.
+SCHEMA_KINDS = {
+    "solve": (_SOLVE, SOLVE_NUMBERS, bad_solve_value),
+    "detection": (_DETECTION, DETECTION_FIELDS, bad_arde_value),
+    "ground truth": (_GROUND_TRUTH, GROUND_TRUTH_FIELDS, bad_arde_value),
+}
+NUMBERS = st.floats(0.5, 5.0) | st.integers(1, 5)
+
+
+@st.composite
+def schema_blocks(draw):
+    """A record kind, and a block of its records of which a few fields may hold values it must refuse."""
+    kind = draw(st.sampled_from(sorted(SCHEMA_KINDS)), label="kind")
+    schema, fields, bad_value = SCHEMA_KINDS[kind]
+    records = []
+    for i in range(draw(st.integers(1, 8), label="records")):
+        if kind == "solve":
+            rec = {"index": i, "class_name": "Car", "length": draw(NUMBERS), "width": draw(NUMBERS),
+                   "r_ab": draw(NUMBERS), "r_bc": draw(NUMBERS), "r_cd": draw(NUMBERS), "r_da": draw(NUMBERS)}
+            if draw(st.booleans()):  # sigmas on some records only
+                rec.update((key, draw(NUMBERS)) for key in SIGMA_KEYS)
+        else:
+            rec = {**unit_box_fields(draw(NUMBERS), 0), "frame": draw(st.sampled_from([None, 7, "7"]))}
+            if kind == "detection":
+                rec.update(confidence=draw(NUMBERS), d_est=draw(NUMBERS), gamma_est=draw(st.none() | NUMBERS))
+            else:
+                rec.update(z=draw(NUMBERS), gamma=draw(NUMBERS))
+        records.append(rec)
+    for rec in records:
+        for field in draw(st.lists(st.sampled_from(fields), max_size=2, unique=True), label="bad fields"):
+            value = draw(bad_value(field))
+            if value is MISSING:
+                rec.pop(field, None)
+            else:
+                rec[field] = value
+    return schema, records
+
+
+class TestSchemaReader:
+    @settings(max_examples=200, deadline=None)
+    @given(block=schema_blocks())
+    def test_block_check_matches_record_at_a_time(self, block):
+        # The column pass refuses a block exactly when a record checked alone
+        # is refused, and then names the first such record with its message;
+        # a block that passes holds the values each record gives alone.
+        schema, records = block
+
+        def read(block_records):
+            return list(_blocks(schema, iter(block_records)))
+
+        passed, refused = [], []  # (record, what it gives alone), (position, record, reason)
+        for pos, rec in enumerate(records):
+            try:
+                passed.append((rec, read([rec])))
+            except ParseError as err:
+                refused.append((pos, rec, str(err).removeprefix(f"{schema.name(0, rec)}: ")))
+        good = [rec for rec, _ in passed]
+        (checked,) = read(good)
+        if schema.build is not None:  # the records built
+            assert checked == [record for _, ((record,),) in passed]
+        else:  # the float columns
+            for key in (key for group in schema.fields if group.rule for key in group.keys):
+                alone = np.concatenate([np.empty(0), *(one[key] for _, (one,) in passed)])
+                assert np.array_equal(checked[key], alone, equal_nan=True)
+        for pos, rec, reason in refused:  # alone among the records that pass
+            at = min(pos, len(good))
+            with pytest.raises(ParseError) as err:
+                read([*good[:at], rec, *good[at:]])
+            assert str(err.value) == f"{schema.name(at, rec)}: {reason}"
+        if refused:  # the block as drawn
+            pos, rec, reason = refused[0]
+            with pytest.raises(ParseError) as err:
+                read(records)
+            assert str(err.value) == f"{schema.name(pos, rec)}: {reason}"
